@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .terms import App, Const, Prod, TermId, TermStore, Var, op_positions, replace_at, subterm_at
+from .terms import App, Const, Prod, TermId, TermStore, Var, op_positions, replace_at
 from .traces import TacticArg, TacticCall, TraceRecord
 
 # Canonical symbols of the rewrite domain. `f` is the binary operator, `e`
@@ -136,7 +136,7 @@ def rewrite_lhs(store: TermStore, lhs: TermId, tactic: Rewrite) -> TermId:
         raise InvalidPosition(
             f"position {tactic.pos} out of range, goal has {len(ops)} operator nodes"
         )
-    node = store.term(subterm_at(store, lhs, tactic.pos, OP_SYMBOL))
+    node = store.term(ops[tactic.pos - 1][1])
     if not isinstance(node, App) or len(node.args) != 2:
         raise PatternMismatch(f"node at {tactic.pos} is not a binary operator application")
     left, right = node.args[0][0], node.args[1][0]
@@ -188,6 +188,7 @@ class ProofSession:
         root = ProofState(ctx=(), goal=theorem, sid=0)
         self.tree = ProofTree(nodes={0: root}, edges=[], root=0, finals=set())
         self.records: list[TraceRecord] = []
+        self._parent: dict[int, int] = {}  # child state -> state its edge leaves
         self._next_id = 1
         self.open_goals: list[int] = [0]
         # A product statement enters interaction with its binders introduced;
@@ -223,12 +224,13 @@ class ProofSession:
         ids = tuple(c.sid for c in children)
         for child in children:
             self.tree.nodes[child.sid] = child
+            self._parent[child.sid] = parent
         self.tree.edges.append((parent, tactic, ids))
         self.records.append(
             TraceRecord(
                 lemma=self.lemma,
                 state_id=parent,
-                parent_id=self._parent_of(parent),
+                parent_id=self._parent.get(parent),
                 ctx=state.ctx,
                 goal=state.goal,
                 tactic=call,
@@ -243,12 +245,6 @@ class ProofSession:
         else:
             self.open_goals[at:at] = list(ids)
         return list(ids)
-
-    def _parent_of(self, sid: int) -> int | None:
-        for parent, _, children in self.tree.edges:
-            if sid in children:
-                return parent
-        return None
 
     # -- queries --------------------------------------------------------------
 

@@ -28,7 +28,7 @@ from .engine import (
     declare_domain,
     start_session,
 )
-from .terms import App, Const, TermId, TermStore, Var, op_positions, replace_at
+from .terms import App, Const, Prod, TermId, TermStore, Var, replace_at
 
 
 class GenerationError(Exception):
@@ -92,58 +92,189 @@ def eval_word(store: TermStore, tid: TermId) -> tuple[str, ...]:
     raise OracleError(f"no denotation for term {tid}")
 
 
-def _moves(store: TermStore, expr: TermId) -> list[tuple[Rewrite, TermId]]:
-    """Applicable rewrites in tie-break order: position ascending, LEFT first."""
-    out: list[tuple[Rewrite, TermId]] = []
-    e_id = store.const(LEFT_IDENTITY)
-    m_id = store.const(RIGHT_IDENTITY)
-    for pos, node_id in op_positions(store, expr, OP_SYMBOL):
-        node = store.term(node_id)
-        if len(node.args) != 2:
-            continue
-        left, right = node.args[0][0], node.args[1][0]
-        if left == e_id:
-            out.append((Rewrite(pos, Law.LEFT), replace_at(store, expr, pos, right, OP_SYMBOL)))
-        if right == m_id:
-            out.append((Rewrite(pos, Law.RIGHT), replace_at(store, expr, pos, left, OP_SYMBOL)))
-    return out
+class _Reachability:
+    """Which terms a term can be rewritten into, memoised for one oracle call.
+
+    `reaches(x, t)` holds when some sequence of identity rewrites turns `x`
+    into `t`. A rewrite removes one operator node and one leaf, so a term
+    never reaches one with more leaves, and the top node of `x` is either
+    contracted at some point or never touched:
+
+    - `x == t`;
+    - `x = X (+) Y` with X reaching `e` and Y reaching `t` (the top node is
+      finally contracted by the left law), or X reaching `t` and Y reaching
+      `m` (by the right law);
+    - `x` and `t` share constructor, head and implicit flags and each child
+      of `x` reaches its counterpart in `t` (the top node is never touched).
+
+    Terms are hash-consed, so the memo on `(x, t)` pairs is shared by every
+    step of one proof; with a leaf target each subterm is asked about at
+    most three targets (the target, `e` and `m`).
+    """
+
+    def __init__(self, store: TermStore) -> None:
+        self.store = store
+        self.e_id = store.const(LEFT_IDENTITY)
+        self.m_id = store.const(RIGHT_IDENTITY)
+        self._memo: dict[tuple[TermId, TermId], bool] = {}
+        self._ops: dict[TermId, int] = {}
+
+    def reaches(self, x: TermId, t: TermId) -> bool:
+        if x == t:
+            return True
+        key = (x, t)
+        ok = self._memo.get(key)
+        if ok is None:
+            ok = self._memo[key] = self._compute(x, t)
+        return ok
+
+    def _compute(self, x: TermId, t: TermId) -> bool:
+        store = self.store
+        if store.leaf_count(x) < store.leaf_count(t):
+            return False
+        tx = store.term(x)
+        if isinstance(tx, App):
+            if self._is_op(tx) and len(tx.args) == 2:
+                left, right = tx.args[0][0], tx.args[1][0]
+                if self.reaches(left, self.e_id) and self.reaches(right, t):
+                    return True
+                if self.reaches(left, t) and self.reaches(right, self.m_id):
+                    return True
+        tt = store.term(t)
+        return self._same_shape(tx, tt) and all(
+            self.reaches(a, b) for a, b in zip(_children(tx), _children(tt))
+        )
+
+    def _is_op(self, term: App) -> bool:
+        head = self.store.term(term.head)
+        return isinstance(head, Const) and head.symbol == OP_SYMBOL
+
+    def _same_shape(self, tx, tt) -> bool:
+        if isinstance(tx, App):
+            return isinstance(tt, App) and [imp for _, imp in tx.args] == [imp for _, imp in tt.args]
+        return isinstance(tx, Prod) and isinstance(tt, Prod) and tx.binder == tt.binder
+
+    def op_count(self, x: TermId) -> int:
+        """Operator positions inside `x`, itself included."""
+        n = self._ops.get(x)
+        if n is None:
+            term = self.store.term(x)
+            n = int(isinstance(term, App) and self._is_op(term))
+            n += sum(self.op_count(c) for c in _children(term))
+            self._ops[x] = n
+        return n
+
+    def first_move(self, cur: TermId, target: TermId) -> tuple[Rewrite, TermId]:
+        """The first move in tie-break order whose result still reaches `target`.
+
+        Walks `cur` in preorder carrying the terms each subterm may become
+        for the whole to reach `target`, the rest of the term staying fixed,
+        and stops at the first redex whose contraction reaches one of them.
+        Subterms without positions, or that may become nothing, are skipped,
+        their positions counted. Returns the move and the subterm that
+        replaces the redex; raises OracleError when no move reaches `target`,
+        that is when `cur` does not.
+        """
+        pos = 0
+
+        def walk(x: TermId, goals: set[TermId]) -> tuple[Rewrite, TermId] | None:
+            nonlocal pos
+            term = self.store.term(x)
+            if isinstance(term, App) and self._is_op(term):
+                pos += 1
+                if len(term.args) == 2:
+                    left, right = term.args[0][0], term.args[1][0]
+                    if left == self.e_id and any(self.reaches(right, g) for g in goals):
+                        return Rewrite(pos, Law.LEFT), right
+                    if right == self.m_id and any(self.reaches(left, g) for g in goals):
+                        return Rewrite(pos, Law.RIGHT), left
+            children = _children(term)
+            for i, child in enumerate(children):
+                ops = self.op_count(child)
+                if ops == 0:
+                    continue
+                sub = self._child_goals(term, children, i, goals)
+                if not sub:
+                    pos += ops
+                    continue
+                found = walk(child, sub)
+                if found is not None:
+                    return found
+            return None
+
+        found = walk(cur, {target})
+        if found is None:
+            raise OracleError("expression does not reduce to the target")
+        return found
+
+    def _child_goals(self, term, children: list[TermId], i: int, goals: set[TermId]) -> set[TermId]:
+        """What child `i` may become for `term` to reach a member of `goals`."""
+        out: set[TermId] = set()
+        if i > 0 and isinstance(term, App) and self._is_op(term) and len(term.args) == 2:
+            # children are (head, left, right): contract the node later, the
+            # other operand staying as it is
+            left, right = children[1], children[2]
+            if i == 1:
+                if any(self.reaches(right, g) for g in goals):
+                    out.add(self.e_id)
+                if self.reaches(right, self.m_id):
+                    out |= goals
+            else:
+                if self.reaches(left, self.e_id):
+                    out |= goals
+                if any(self.reaches(left, g) for g in goals):
+                    out.add(self.m_id)
+        for g in goals:
+            tg = self.store.term(g)
+            if not self._same_shape(term, tg):
+                continue
+            targets = _children(tg)
+            if all(self.reaches(c, t) for j, (c, t) in enumerate(zip(children, targets)) if j != i):
+                out.add(targets[i])
+        return out
+
+
+def _children(term) -> list[TermId]:
+    """Subterms in the preorder the operator positions are counted in."""
+    if isinstance(term, App):
+        return [term.head] + [c for c, _ in term.args]
+    if isinstance(term, Prod):
+        return [term.ty, term.body]
+    return []
 
 
 def oracle_proof(store: TermStore, expr: TermId, target: TermId | None = None) -> list[Tactic]:
-    """Depth-first rewrite sequence reducing `expr` to `target`, plus Reflexivity.
+    """The rewrite sequence reducing `expr` to `target`, plus Reflexivity.
 
-    Tries smaller positions first and the left law before the right one, and
-    backtracks out of dead ends; the returned proof itself is straight-line.
+    Each step takes the first applicable rewrite, by position ascending and
+    the left law before the right one, whose result can still be rewritten
+    into `target` (see `_Reachability`). The result is the first proof in
+    that order, found without search: each step costs one walk of the term
+    with memoised reachability and one `replace_at`, so a length-L proof
+    costs O(L^2) term visits.
     """
     if target is None:
         target = store.var(GOAL_VAR)
-    dead: set[TermId] = set()
-
-    def dfs(cur: TermId) -> list[Rewrite] | None:
-        if cur == target:
-            return []
-        if cur in dead:
-            return None
-        for move, nxt in _moves(store, cur):
-            rest = dfs(nxt)
-            if rest is not None:
-                return [move] + rest
-        dead.add(cur)
-        return None
-
-    steps = dfs(expr)
-    if steps is None:
-        raise OracleError("expression does not reduce to the target")
-    return list(steps) + [Reflexivity()]
+    proof: list[Tactic] = []
+    cur = expr
+    if cur != target:
+        oracle = _Reachability(store)
+        while cur != target:
+            move, kept = oracle.first_move(cur, target)
+            cur = replace_at(store, cur, move.pos, kept, OP_SYMBOL)
+            proof.append(move)
+    return proof + [Reflexivity()]
 
 
 def completable(store: TermStore, expr: TermId, target: TermId | None = None) -> bool:
-    """Whether the oracle can rewrite `expr` all the way to `target`."""
-    try:
-        oracle_proof(store, expr, target)
-        return True
-    except OracleError:
-        return False
+    """Whether `expr` can be rewritten all the way to `target`.
+
+    One memoised reachability check, linear in the size of `expr` for a leaf
+    target; no proof is built.
+    """
+    if target is None:
+        target = store.var(GOAL_VAR)
+    return expr == target or _Reachability(store).reaches(expr, target)
 
 
 @dataclass(frozen=True)

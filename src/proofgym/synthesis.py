@@ -56,7 +56,7 @@ class ModelPredictor:
 
 
 class OraclePredictor:
-    """Always proposes the search oracle's next step."""
+    """Always proposes the oracle's next step."""
 
     def propose(self, store: TermStore, ctx, goal) -> Tactic:
         lhs, rhs = _goal_sides(store, goal)

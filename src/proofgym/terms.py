@@ -320,6 +320,8 @@ def replace_at(
     counter = [0]
 
     def walk(t: TermId) -> TermId:
+        if counter[0] >= pos:
+            return t  # the replacement is done; nothing after it changes
         term = store.term(t)
         if isinstance(term, App):
             if _is_op_node(store, t, op_symbol):

@@ -1,7 +1,9 @@
 """Shared test fixtures: independent oracles and corpus builders.
 
 The finite-difference oracle here is the ground truth for every gradient
-test; it never touches the library's backward pass.
+test; it never touches the library's backward pass. The depth-first rewrite
+search is the reference the reachability oracle in `proofgym.rewrite` must
+agree with, proof for proof.
 """
 
 from __future__ import annotations
@@ -9,7 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 from proofgym.autodiff import CompGraph, Tensor, forward_backward
-from proofgym.terms import TermId, TermStore
+from proofgym.engine import (
+    GOAL_VAR,
+    LEFT_IDENTITY,
+    OP_SYMBOL,
+    RIGHT_IDENTITY,
+    Law,
+    Reflexivity,
+    Rewrite,
+    Tactic,
+)
+from proofgym.rewrite import OracleError
+from proofgym.terms import TermId, TermStore, op_positions, replace_at
 from proofgym.traces import TacticArg, TacticCall, TraceRecord
 
 
@@ -42,6 +55,64 @@ def max_relative_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.nd
         denom = np.maximum(1e-8, np.abs(num) + np.abs(ana))
         worst = max(worst, float(np.max(np.abs(num - ana) / denom)))
     return worst
+
+
+# -- reference rewrite search --------------------------------------------------------
+
+
+def dfs_moves(store: TermStore, expr: TermId) -> list[tuple[Rewrite, TermId]]:
+    """Applicable rewrites in tie-break order: position ascending, LEFT first."""
+    out: list[tuple[Rewrite, TermId]] = []
+    e_id = store.const(LEFT_IDENTITY)
+    m_id = store.const(RIGHT_IDENTITY)
+    for pos, node_id in op_positions(store, expr, OP_SYMBOL):
+        node = store.term(node_id)
+        if len(node.args) != 2:
+            continue
+        left, right = node.args[0][0], node.args[1][0]
+        if left == e_id:
+            out.append((Rewrite(pos, Law.LEFT), replace_at(store, expr, pos, right, OP_SYMBOL)))
+        if right == m_id:
+            out.append((Rewrite(pos, Law.RIGHT), replace_at(store, expr, pos, left, OP_SYMBOL)))
+    return out
+
+
+def dfs_oracle_proof(store: TermStore, expr: TermId, target: TermId | None = None) -> list[Tactic]:
+    """Depth-first rewrite sequence reducing `expr` to `target`, plus Reflexivity.
+
+    Tries smaller positions first and the left law before the right one, and
+    backtracks out of dead ends; the returned proof itself is straight-line.
+    Exponential in the length of `expr`.
+    """
+    if target is None:
+        target = store.var(GOAL_VAR)
+    dead: set[TermId] = set()
+
+    def dfs(cur: TermId) -> list[Rewrite] | None:
+        if cur == target:
+            return []
+        if cur in dead:
+            return None
+        for move, nxt in dfs_moves(store, cur):
+            rest = dfs(nxt)
+            if rest is not None:
+                return [move] + rest
+        dead.add(cur)
+        return None
+
+    steps = dfs(expr)
+    if steps is None:
+        raise OracleError("expression does not reduce to the target")
+    return list(steps) + [Reflexivity()]
+
+
+def dfs_completable(store: TermStore, expr: TermId, target: TermId | None = None) -> bool:
+    """Whether the depth-first search can rewrite `expr` all the way to `target`."""
+    try:
+        dfs_oracle_proof(store, expr, target)
+        return True
+    except OracleError:
+        return False
 
 
 # -- synthetic generic corpus -------------------------------------------------------

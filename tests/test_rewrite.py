@@ -21,6 +21,8 @@ from proofgym.rewrite import (
 from proofgym.sexpr import parse_sexpr, print_sexpr
 from proofgym.terms import TermStore
 
+from helpers import dfs_moves, dfs_oracle_proof
+
 
 @pytest.fixture
 def store():
@@ -206,3 +208,60 @@ def test_prove_with_oracle_and_records(store):
     train, test = gen_theorems(store, DatasetSpec(3, 2, 4, seed=2))
     session = prove_with_oracle(store, train[0])
     assert session.completed
+
+
+# -- differential checks against the depth-first reference ------------------------------
+
+
+def _proof_or_none(oracle, store, expr, target=None):
+    try:
+        return oracle(store, expr, target)
+    except OracleError:
+        return None
+
+
+def _assert_agrees(store, expr, target=None):
+    expected = _proof_or_none(dfs_oracle_proof, store, expr, target)
+    assert _proof_or_none(oracle_proof, store, expr, target) == expected
+    assert completable(store, expr, target) == (expected is not None)
+
+
+@pytest.mark.parametrize("length", range(1, 8))
+def test_oracle_matches_dfs_on_every_expression_and_successor(store, length):
+    # successors include every dead end one wrong rewrite away
+    for expr in sorted(enumerate_expressions(store, length)):
+        _assert_agrees(store, expr)
+        for _, successor in dfs_moves(store, expr):
+            _assert_agrees(store, successor)
+
+
+def _subterms(store, tid):
+    out = {tid}
+    term = store.term(tid)
+    for child, _ in getattr(term, "args", ()):
+        out |= _subterms(store, child)
+    return out
+
+
+@pytest.mark.parametrize("length", range(1, 6))
+def test_oracle_matches_dfs_on_subterm_targets(store, length):
+    for expr in sorted(enumerate_expressions(store, length)):
+        for target in sorted(_subterms(store, expr)):
+            _assert_agrees(store, expr, target)
+
+
+@pytest.mark.parametrize("length", range(10, 17))
+def test_oracle_matches_dfs_on_random_draws(store, length):
+    rng = random.Random(1000 + length)
+    for _ in range(15):
+        _assert_agrees(store, gen_expression(store, rng, length))
+
+
+def test_long_theorems_prove_by_the_length_law(store):
+    # far beyond what an exhaustive search reaches
+    train, test = gen_theorems(store, DatasetSpec(n_train=2, n_test=1, length=100, seed=0))
+    for thm in train + test:
+        rewrites = [t for t in thm.proof if isinstance(t, Rewrite)]
+        assert len(rewrites) == 99
+        assert len(thm.proof) == 100 and isinstance(thm.proof[-1], Reflexivity)
+        assert prove_with_oracle(store, thm).completed

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
+from proofgym import synthesis
 from proofgym.engine import Law, Reflexivity, Rewrite, declare_domain
 from proofgym.rewrite import DatasetSpec, gen_dataset_records, gen_theorems, statement_for
-from proofgym.sexpr import parse_sexpr
+from proofgym.sexpr import parse_sexpr, print_sexpr
 from proofgym.synthesis import (
     BenchmarkReport,
     ModelPredictor,
@@ -13,6 +16,8 @@ from proofgym.synthesis import (
     theorems_from_records,
 )
 from proofgym.terms import TermStore
+
+from helpers import dfs_completable, dfs_moves, dfs_oracle_proof
 
 
 @pytest.fixture
@@ -146,6 +151,54 @@ def test_fallback_vetoes_premature_reflexivity(store):
     assert result.fallback_uses == 1
     assert result.steps[-1].tactic == Reflexivity()
     assert result.steps[-1].accepted
+
+
+class TricksterPredictor:
+    """Mixes dead-end, inapplicable and sound proposals.
+
+    Each choice is seeded by the printed goal and judged with the reference
+    search, so the proposals do not depend on the oracle under test or on
+    term ids.
+    """
+
+    def propose(self, store, ctx, goal):
+        lhs, rhs = store.term(goal).args[0][0], store.term(goal).args[1][0]
+        rng = random.Random(print_sexpr(store, goal))
+        successors = dfs_moves(store, lhs)
+        moves = [move for move, _ in successors]
+        dead = [move for move, nxt in successors if not dfs_completable(store, nxt, rhs)]
+        roll = rng.random()
+        if dead and roll < 0.4:
+            return rng.choice(dead)
+        if roll < 0.6:
+            return Rewrite(rng.randint(1, 12), rng.choice(list(Law)))  # often inapplicable
+        if roll < 0.7 or not moves:
+            return Reflexivity()
+        return rng.choice(moves)
+
+
+def _fallback_runs(length):
+    store = TermStore()
+    declare_domain(store)
+    theorems, _ = gen_theorems(store, DatasetSpec(n_train=6, n_test=0, length=length, seed=length))
+    predictor = TricksterPredictor()
+    return [
+        synthesize(store, thm.statement, predictor, fallback=True, lemma=thm.name)
+        for thm in theorems
+    ]
+
+
+@pytest.mark.parametrize("length", range(8, 13))
+def test_fallback_synthesis_matches_dfs_oracle(monkeypatch, length):
+    results = _fallback_runs(length)
+    monkeypatch.setattr(synthesis, "oracle_proof", dfs_oracle_proof)
+    monkeypatch.setattr(synthesis, "completable", dfs_completable)
+    reference = _fallback_runs(length)
+    assert [r.steps for r in results] == [r.steps for r in reference]
+    assert [r.fallback_uses for r in results] == [r.fallback_uses for r in reference]
+    assert all(r.completed for r in results)
+    # the proposals did go wrong and were also taken
+    assert 0 < sum(r.fallback_uses for r in results) < sum(len(r.steps) for r in results)
 
 
 # -- theorem recovery from traces -----------------------------------------------------
