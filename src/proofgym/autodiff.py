@@ -1,11 +1,16 @@
 """Reverse-mode computation graphs over float64 numpy arrays.
 
-Nodes are appended in topological order, so naive execution is a single
-forward sweep and gradients are one reverse sweep with accumulation at
-shared nodes. The batched path groups nodes with the same operation,
-signature, and dependency depth into stacked numpy calls; it is numerically
-equivalent to the naive path up to summation-order effects inside dot
-products.
+Nodes are appended in topological order. Every operation is one entry of
+`KERNELS`: a forward kernel and a backward kernel over stacked rows, one row
+per node. The batched executor groups nodes with the same operation,
+signature, and dependency depth into buckets and runs each kernel once per
+bucket; the naive executor runs the same kernels one node at a time, so the
+two agree up to summation-order effects inside dot products. Gradients are
+one reverse sweep with accumulation at shared nodes.
+
+A recurrent-cell application (`gru_cell`, `tanh_cell`) is one node whose
+inputs are its gate weights, then `x` and `h`, so a bucket of cell steps
+costs a few stacked matmuls instead of a dozen primitive buckets.
 
 Graphs are re-runnable: parameter nodes read their Tensor's current value on
 every forward pass, and `reseed` refreshes the per-pass constants (sampled
@@ -14,6 +19,9 @@ steps.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -72,7 +80,10 @@ class CompGraph:
         # (nid, key suffix, dim): constants redrawn by reseed(pass_seed).
         self.pass_constants: list[tuple[int, tuple[int, ...], int]] = []
         self._params: dict[str, int] = {}
+        self._masks: dict[int, np.ndarray] = {}
         self._buckets: list[tuple[tuple, list[int]]] | None = None
+        # (batched, per-group records) of the last forward pass, for backward.
+        self._run: tuple[bool, list[_Group]] | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -80,14 +91,17 @@ class CompGraph:
         return self.nodes[tid]
 
     def _add(self, op: str, inputs: tuple[int, ...], shape: tuple[int, ...], aux=None) -> int:
+        nodes = self.nodes
         depth = 0
         for i in inputs:
-            if not (0 <= i < len(self.nodes)):
+            if not (0 <= i < len(nodes)):
                 raise GraphError(f"input {i} does not exist")
-            depth = max(depth, self.nodes[i].depth + 1)
-        node = Node(len(self.nodes), op, inputs, shape, depth, aux)
-        self.nodes.append(node)
+            if nodes[i].depth >= depth:
+                depth = nodes[i].depth + 1
+        node = Node(len(nodes), op, inputs, shape, depth, aux)
+        nodes.append(node)
         self._buckets = None
+        self._run = None
         return node.nid
 
     def const(self, value, key=None) -> int:
@@ -170,8 +184,25 @@ class CompGraph:
     def dropout(self, a: int, rate: float) -> int:
         if not (0.0 <= rate < 1.0):
             raise GraphError(f"dropout rate {rate}")
-        aux = {"rate": float(rate), "mask": None}
-        return self._add("dropout", (a,), self.nodes[a].shape, aux)
+        return self._add("dropout", (a,), self.nodes[a].shape, float(rate))
+
+    def gru_cell(self, x: int, h: int, weights: tuple[int, ...]) -> int:
+        """GRU step; `weights` are (W, U, b) for the z, r and candidate gates."""
+        return self._cell("gru_cell", x, h, weights, 3)
+
+    def tanh_cell(self, x: int, h: int, weights: tuple[int, ...]) -> int:
+        """tanh(W x + U h + b); `weights` are (W, U, b)."""
+        return self._cell("tanh_cell", x, h, weights, 1)
+
+    def _cell(self, op: str, x: int, h: int, weights: tuple[int, ...], gates: int) -> int:
+        xs, hs = self.nodes[x].shape, self.nodes[h].shape
+        if len(xs) != 1 or len(hs) != 1 or len(weights) != 3 * gates:
+            raise GraphError(f"{op} of {xs}, {hs} with {len(weights)} weights")
+        shapes = tuple([self.nodes[w].shape for w in weights])
+        want = ((hs[0], xs[0]), (hs[0], hs[0]), hs) * gates
+        if shapes != want:
+            raise GraphError(f"{op} weight shapes {shapes}, not {want}")
+        return self._add(op, tuple(weights) + (x, h), hs)
 
     def softmax_xent(self, logits: int, label: int) -> int:
         shape = self.nodes[logits].shape
@@ -195,47 +226,35 @@ class CompGraph:
             self.nodes[nid].value = seeded_normal((pass_seed,) + suffix, dim)
         if dropout_seed is not None:
             self.dropout_seed = dropout_seed
-        for node in self.nodes:
-            if node.op == "dropout":
-                node.aux["mask"] = None
+        self._masks.clear()
 
     def _mask(self, node: Node) -> np.ndarray:
-        mask = node.aux["mask"]
+        mask = self._masks.get(node.nid)
         if mask is None:
-            rate = node.aux["rate"]
+            rate = node.aux
             rng = np.random.default_rng((self.dropout_seed, node.nid))
             keep = rng.random(node.shape) >= rate
-            mask = keep.astype(np.float64) / (1.0 - rate)
-            node.aux["mask"] = mask
+            mask = self._masks[node.nid] = keep.astype(np.float64) / (1.0 - rate)
         return mask
 
     # -- grouping for the batched path ----------------------------------------
 
-    def _signature(self, node: Node) -> tuple:
-        op = node.op
-        if op == "matmul":
-            return (op, node.inputs[0])
-        if op == "gather":
-            return (op, node.inputs[0])
-        if op in ("add", "mul", "tanh", "sigmoid"):
-            return (op, node.shape)
-        if op == "affine":
-            return (op, node.shape, node.aux)
-        if op == "dropout":
-            return (op, node.shape, node.aux["rate"])
-        if op == "concat":
-            return (op, tuple(self.nodes[i].shape for i in node.inputs))
-        if op in ("sum", "mean", "sxent"):
-            return (op, self.nodes[node.inputs[0]].shape)
-        return (op, node.nid)  # const/param execute individually
-
     def buckets(self) -> list[tuple[tuple, list[int]]]:
+        """Non-leaf nodes grouped by depth, op, weights, shape and kernel key.
+
+        Nodes of one bucket share their weights; their other inputs become
+        stacked rows, so they must have equal shapes. The output shape and
+        the weights fix those shapes except where the kernel's key adds them.
+        """
         if self._buckets is None:
+            nodes = self.nodes
             grouped: dict[tuple, list[int]] = {}
-            for node in self.nodes:
-                if node.op in ("const", "param"):
-                    continue
-                key = (node.depth,) + self._signature(node)
+            for node in nodes:
+                kernel = KERNELS.get(node.op)
+                if kernel is None:
+                    continue  # const and param nodes hold their values
+                extra = kernel.key and kernel.key(self, node)
+                key = (node.depth, node.op, node.inputs[: kernel.shared], node.shape, extra)
                 grouped.setdefault(key, []).append(node.nid)
             self._buckets = [(key, grouped[key]) for key in sorted(grouped, key=lambda k: (k[0], grouped[k][0]))]
         return self._buckets
@@ -251,104 +270,166 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
         return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
 
 
-def _check(graph: CompGraph, arr: np.ndarray, where: str) -> None:
-    if graph.check_finite and not np.all(np.isfinite(arr)):
-        raise NumericsError(f"non-finite value produced by {where}")
+def _softmax(z: np.ndarray) -> np.ndarray:
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward_naive(graph: CompGraph) -> None:
-    nodes = graph.nodes
-    for node in nodes:
-        op = node.op
-        if op == "const":
-            value = node.value
-        elif op == "param":
-            value = node.aux.value
-        elif op == "matmul":
-            value = nodes[node.inputs[0]].value @ nodes[node.inputs[1]].value
-        elif op == "add":
-            value = nodes[node.inputs[0]].value + nodes[node.inputs[1]].value
-        elif op == "mul":
-            value = nodes[node.inputs[0]].value * nodes[node.inputs[1]].value
-        elif op == "affine":
-            alpha, beta = node.aux
-            value = alpha * nodes[node.inputs[0]].value + beta
-        elif op == "tanh":
-            value = np.tanh(nodes[node.inputs[0]].value)
-        elif op == "sigmoid":
-            value = _stable_sigmoid(nodes[node.inputs[0]].value)
-        elif op == "concat":
-            value = np.concatenate([nodes[i].value for i in node.inputs])
-        elif op == "gather":
-            value = nodes[node.inputs[0]].value[node.aux]
-        elif op == "dropout":
-            value = nodes[node.inputs[0]].value * graph._mask(node)
-        elif op == "sxent":
-            z = nodes[node.inputs[0]].value
-            m = z.max()
-            lse = m + np.log(np.exp(z - m).sum())
-            value = np.array([lse - z[node.aux]])
-        elif op == "sum":
-            value = np.array([nodes[node.inputs[0]].value.sum()])
-        elif op == "mean":
-            value = np.array([nodes[node.inputs[0]].value.mean()])
-        else:
-            raise GraphError(f"unknown op {op}")
-        node.value = value
-        _check(graph, value, f"{op} node {node.nid}")
+class _Group:
+    """One kernel application: a bucket, or a single node when naive.
 
+    `ws` are the shared leading inputs (weights), `xs` the other inputs,
+    stacked one row per node when a kernel first reads them, `out` the
+    stacked outputs, and `saved` a tuple of stacked arrays the forward kernel
+    keeps for the backward one.
+    """
 
-def forward_batched(graph: CompGraph) -> None:
-    nodes = graph.nodes
-    for node in nodes:
-        if node.op == "param":
-            node.value = node.aux.value
-    for key, nids in graph.buckets():
-        op = key[1]
-        group = [nodes[i] for i in nids]
-        if op == "matmul":
-            w = nodes[group[0].inputs[0]].value
-            xs = np.stack([nodes[n.inputs[1]].value for n in group])
-            out = xs @ w.T
-        elif op in ("add", "mul"):
-            a = np.stack([nodes[n.inputs[0]].value for n in group])
-            b = np.stack([nodes[n.inputs[1]].value for n in group])
-            out = a + b if op == "add" else a * b
-        elif op == "affine":
-            alpha, beta = group[0].aux
-            out = alpha * np.stack([nodes[n.inputs[0]].value for n in group]) + beta
-        elif op == "tanh":
-            out = np.tanh(np.stack([nodes[n.inputs[0]].value for n in group]))
-        elif op == "sigmoid":
-            out = _stable_sigmoid(np.stack([nodes[n.inputs[0]].value for n in group]))
-        elif op == "concat":
-            cols = [
-                np.stack([nodes[n.inputs[j]].value for n in group])
-                for j in range(len(group[0].inputs))
+    # Holds the node list, not the graph: the graph keeps these records, and
+    # a cycle would leave every graph's arrays to the cyclic collector.
+    __slots__ = ("nodes", "group", "shared", "ws", "out", "saved", "_xs")
+
+    def __init__(self, nodes: list[Node], group: list[Node], shared: int, out=None, saved: tuple = ()) -> None:
+        self.nodes = nodes
+        self.group = group
+        self.shared = shared
+        self.ws = [nodes[i].value for i in group[0].inputs[:shared]]
+        self.out = out
+        self.saved = saved
+        self._xs: list[np.ndarray] | None = None
+
+    @property
+    def xs(self) -> list[np.ndarray]:
+        if self._xs is None:
+            nodes, group = self.nodes, self.group
+            self._xs = [
+                _stack([nodes[n.inputs[j]].value for n in group]) for j in range(self.shared, len(group[0].inputs))
             ]
-            out = np.concatenate(cols, axis=1)
-        elif op == "gather":
-            table = nodes[group[0].inputs[0]].value
-            out = table[np.array([n.aux for n in group])]
-        elif op == "dropout":
-            a = np.stack([nodes[n.inputs[0]].value for n in group])
-            masks = np.stack([graph._mask(n) for n in group])
-            out = a * masks
-        elif op == "sxent":
-            z = np.stack([nodes[n.inputs[0]].value for n in group])
-            m = z.max(axis=1, keepdims=True)
-            lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-            labels = np.array([n.aux for n in group])
-            out = (lse - z[np.arange(len(group)), labels])[:, None]
-        elif op == "sum":
-            out = np.stack([nodes[n.inputs[0]].value for n in group]).sum(axis=1, keepdims=True)
-        elif op == "mean":
-            out = np.stack([nodes[n.inputs[0]].value for n in group]).mean(axis=1, keepdims=True)
-        else:
-            raise GraphError(f"unknown op {op}")
-        _check(graph, out, f"{op} bucket at depth {key[0]}")
-        for i, node in enumerate(group):
-            node.value = out[i]
+        return self._xs
+
+
+def _stack(rows: list[np.ndarray]) -> np.ndarray:
+    # A lone row is common (single-state inference) and needs no copy.
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+
+
+@dataclass(frozen=True, slots=True)
+class Kernel:
+    forward: Callable  # (group, graph) -> stacked output rows; may set group.saved
+    backward: Callable  # (group, g, graph) -> (grads of ws, stacked grads of xs)
+    shared: int = 0  # leading inputs that are one node across a bucket
+    key: Callable | None = None  # (graph, node) -> what else a bucket must share
+
+
+def _aux_key(graph: CompGraph, node: Node):
+    return node.aux
+
+
+def _input_shapes(graph: CompGraph, node: Node) -> tuple:
+    return tuple([graph.nodes[i].shape for i in node.inputs])
+
+
+def _gather_forward(b: _Group, graph: CompGraph) -> np.ndarray:
+    return b.ws[0][np.array([n.aux for n in b.group])]
+
+
+def _gather_backward(b: _Group, g: np.ndarray, graph: CompGraph):
+    table = np.zeros(b.ws[0].shape)
+    np.add.at(table, np.array([n.aux for n in b.group]), g)
+    return [table], []
+
+
+def _masks(b: _Group, graph: CompGraph) -> np.ndarray:
+    return np.stack([graph._mask(n) for n in b.group])
+
+
+def _labels(b: _Group) -> tuple[np.ndarray, np.ndarray]:
+    return np.arange(len(b.group)), np.array([n.aux for n in b.group])
+
+
+def _sxent_forward(b: _Group, graph: CompGraph) -> np.ndarray:
+    z = b.xs[0]
+    m = z.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
+    return (lse - z[_labels(b)])[:, None]
+
+
+def _sxent_backward(b: _Group, g: np.ndarray, graph: CompGraph):
+    p = _softmax(b.xs[0])
+    p[_labels(b)] -= 1.0
+    return [], [p * g]
+
+
+def _concat_backward(b: _Group, g: np.ndarray, graph: CompGraph):
+    cuts = np.cumsum([x.shape[1] for x in b.xs[:-1]])
+    return [], np.split(g, cuts, axis=1)
+
+
+def _gru_forward(b: _Group, graph: CompGraph) -> np.ndarray:
+    wz, uz, bz, wr, ur, br, wh, uh, bh = b.ws
+    x, h = b.xs
+    z = _stable_sigmoid(x @ wz.T + h @ uz.T + bz)
+    r = _stable_sigmoid(x @ wr.T + h @ ur.T + br)
+    h_bar = np.tanh(x @ wh.T + (r * h) @ uh.T + bh)
+    b.saved = (z, r, h_bar)
+    return (-1.0 * z + 1.0) * h + z * h_bar
+
+
+def _gru_backward(b: _Group, g: np.ndarray, graph: CompGraph):
+    wz, uz, _, wr, ur, _, wh, uh, _ = b.ws
+    x, h = b.xs
+    z, r, h_bar = b.saved
+    dz = (g * h_bar - g * h) * z * (1.0 - z)
+    dh_bar = g * z * (1.0 - h_bar**2)
+    drh = dh_bar @ uh
+    dr = drh * h * r * (1.0 - r)
+    dx = dz @ wz + dr @ wr + dh_bar @ wh
+    dh = g * (1.0 - z) + drh * r + dz @ uz + dr @ ur
+    dws = []
+    for d, hin in ((dz, h), (dr, h), (dh_bar, r * h)):
+        dws += [d.T @ x, d.T @ hin, d.sum(axis=0)]
+    return dws, [dx, dh]
+
+
+def _tanh_cell_backward(b: _Group, g: np.ndarray, graph: CompGraph):
+    w, u, _ = b.ws
+    x, h = b.xs
+    d = g * (1.0 - b.out**2)
+    return [d.T @ x, d.T @ h, d.sum(axis=0)], [d @ w, d @ u]
+
+
+KERNELS: dict[str, Kernel] = {
+    "matmul": Kernel(lambda b, _: b.xs[0] @ b.ws[0].T, lambda b, g, _: ([g.T @ b.xs[0]], [g @ b.ws[0]]), shared=1),
+    "add": Kernel(lambda b, _: b.xs[0] + b.xs[1], lambda b, g, _: ([], [g, g])),
+    "mul": Kernel(lambda b, _: b.xs[0] * b.xs[1], lambda b, g, _: ([], [g * b.xs[1], g * b.xs[0]])),
+    "affine": Kernel(
+        lambda b, _: b.group[0].aux[0] * b.xs[0] + b.group[0].aux[1],
+        lambda b, g, _: ([], [b.group[0].aux[0] * g]),
+        key=_aux_key,
+    ),
+    "tanh": Kernel(lambda b, _: np.tanh(b.xs[0]), lambda b, g, _: ([], [g * (1.0 - b.out**2)])),
+    "sigmoid": Kernel(lambda b, _: _stable_sigmoid(b.xs[0]), lambda b, g, _: ([], [g * b.out * (1.0 - b.out)])),
+    "concat": Kernel(lambda b, _: np.concatenate(b.xs, axis=1), _concat_backward, key=_input_shapes),
+    "gather": Kernel(_gather_forward, _gather_backward, shared=1),
+    "dropout": Kernel(
+        lambda b, graph: b.xs[0] * _masks(b, graph), lambda b, g, graph: ([], [g * _masks(b, graph)]), key=_aux_key
+    ),
+    "sxent": Kernel(_sxent_forward, _sxent_backward, key=_input_shapes),
+    "sum": Kernel(
+        lambda b, _: b.xs[0].sum(axis=1, keepdims=True),
+        lambda b, g, _: ([], [np.broadcast_to(g, b.xs[0].shape)]),
+        key=_input_shapes,
+    ),
+    "mean": Kernel(
+        lambda b, _: b.xs[0].mean(axis=1, keepdims=True),
+        lambda b, g, _: ([], [np.broadcast_to(g / b.xs[0].shape[1], b.xs[0].shape)]),
+        key=_input_shapes,
+    ),
+    "gru_cell": Kernel(_gru_forward, _gru_backward, shared=9),
+    "tanh_cell": Kernel(
+        lambda b, _: np.tanh(b.xs[0] @ b.ws[0].T + b.xs[1] @ b.ws[1].T + b.ws[2]), _tanh_cell_backward, shared=3
+    ),
+}
 
 
 def _acc(node: Node, grad: np.ndarray) -> None:
@@ -357,160 +438,62 @@ def _acc(node: Node, grad: np.ndarray) -> None:
     node.grad += grad
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def backward_naive(graph: CompGraph, loss: int) -> None:
-    nodes = graph.nodes
-    for node in nodes:
-        node.grad = None
-    root = nodes[loss]
-    if root.shape != (1,):
-        raise GraphError(f"loss must be a scalar, got shape {root.shape}")
-    root.grad = np.ones(1)
-    for node in reversed(nodes):
-        if node.grad is None or node.op in ("const", "param"):
-            continue
-        g = node.grad
-        op = node.op
-        ins = [nodes[i] for i in node.inputs]
-        if op == "matmul":
-            w, x = ins
-            _acc(w, np.outer(g, x.value))
-            _acc(x, w.value.T @ g)
-        elif op == "add":
-            _acc(ins[0], g)
-            _acc(ins[1], g)
-        elif op == "mul":
-            _acc(ins[0], g * ins[1].value)
-            _acc(ins[1], g * ins[0].value)
-        elif op == "affine":
-            _acc(ins[0], node.aux[0] * g)
-        elif op == "tanh":
-            _acc(ins[0], g * (1.0 - node.value**2))
-        elif op == "sigmoid":
-            _acc(ins[0], g * node.value * (1.0 - node.value))
-        elif op == "concat":
-            off = 0
-            for child in ins:
-                width = child.shape[0]
-                _acc(child, g[off : off + width])
-                off += width
-        elif op == "gather":
-            table = ins[0]
-            if table.grad is None:
-                table.grad = np.zeros(table.shape)
-            table.grad[node.aux] += g
-        elif op == "dropout":
-            _acc(ins[0], g * node.aux["mask"])
-        elif op == "sxent":
-            p = _softmax(ins[0].value)
-            p[node.aux] -= 1.0
-            _acc(ins[0], g[0] * p)
-        elif op == "sum":
-            _acc(ins[0], np.full(ins[0].shape, g[0]))
-        elif op == "mean":
-            _acc(ins[0], np.full(ins[0].shape, g[0] / ins[0].shape[0]))
-        else:
-            raise GraphError(f"unknown op {op}")
-
-
-def backward_batched(graph: CompGraph, loss: int) -> None:
-    nodes = graph.nodes
-    for node in nodes:
-        node.grad = None
-    root = nodes[loss]
-    if root.shape != (1,):
-        raise GraphError(f"loss must be a scalar, got shape {root.shape}")
-    root.grad = np.ones(1)
-    for key, nids in reversed(graph.buckets()):
-        group = [nodes[i] for i in nids if nodes[i].grad is not None]
-        if not group:
-            continue
-        op = key[1]
-        g = np.stack([n.grad for n in group])
-        if op == "matmul":
-            w = nodes[group[0].inputs[0]]
-            xs = np.stack([nodes[n.inputs[1]].value for n in group])
-            _acc(w, g.T @ xs)
-            dx = g @ w.value
-            for i, node in enumerate(group):
-                _acc(nodes[node.inputs[1]], dx[i])
-        elif op == "add":
-            for i, node in enumerate(group):
-                _acc(nodes[node.inputs[0]], g[i])
-                _acc(nodes[node.inputs[1]], g[i])
-        elif op == "mul":
-            for i, node in enumerate(group):
-                _acc(nodes[node.inputs[0]], g[i] * nodes[node.inputs[1]].value)
-                _acc(nodes[node.inputs[1]], g[i] * nodes[node.inputs[0]].value)
-        elif op == "affine":
-            alpha = group[0].aux[0]
-            for i, node in enumerate(group):
-                _acc(nodes[node.inputs[0]], alpha * g[i])
-        elif op == "tanh":
-            vals = np.stack([n.value for n in group])
-            da = g * (1.0 - vals**2)
-            for i, node in enumerate(group):
-                _acc(nodes[node.inputs[0]], da[i])
-        elif op == "sigmoid":
-            vals = np.stack([n.value for n in group])
-            da = g * vals * (1.0 - vals)
-            for i, node in enumerate(group):
-                _acc(nodes[node.inputs[0]], da[i])
-        elif op == "concat":
-            off = 0
-            for j in range(len(group[0].inputs)):
-                width = nodes[group[0].inputs[j]].shape[0]
-                cols = g[:, off : off + width]
-                for i, node in enumerate(group):
-                    _acc(nodes[node.inputs[j]], cols[i])
-                off += width
-        elif op == "gather":
-            table = nodes[group[0].inputs[0]]
-            if table.grad is None:
-                table.grad = np.zeros(table.shape)
-            np.add.at(table.grad, np.array([n.aux for n in group]), g)
-        elif op == "dropout":
-            for i, node in enumerate(group):
-                _acc(nodes[node.inputs[0]], g[i] * node.aux["mask"])
-        elif op == "sxent":
-            z = np.stack([nodes[n.inputs[0]].value for n in group])
-            p = _softmax(z)
-            p[np.arange(len(group)), [n.aux for n in group]] -= 1.0
-            dz = p * g
-            for i, node in enumerate(group):
-                _acc(nodes[node.inputs[0]], dz[i])
-        elif op == "sum":
-            for i, node in enumerate(group):
-                child = nodes[node.inputs[0]]
-                _acc(child, np.full(child.shape, g[i, 0]))
-        elif op == "mean":
-            for i, node in enumerate(group):
-                child = nodes[node.inputs[0]]
-                _acc(child, np.full(child.shape, g[i, 0] / child.shape[0]))
-        else:
-            raise GraphError(f"unknown op {op}")
-
-
 def run_forward(graph: CompGraph, batched: bool = True) -> None:
+    """Compute every node's value, one kernel call per bucket (or per node)."""
+    nodes = graph.nodes
+    for node in nodes:
+        if node.op == "param":
+            node.value = node.aux.value
     if batched:
-        forward_batched(graph)
+        groups = [nids for _, nids in graph.buckets()]
     else:
-        forward_naive(graph)
+        groups = [[node.nid] for node in nodes if node.op in KERNELS]
+    records = []
+    for nids in groups:
+        group = [nodes[i] for i in nids]
+        first = group[0]
+        kernel = KERNELS[first.op]
+        b = _Group(nodes, group, kernel.shared)
+        b.out = kernel.forward(b, graph)
+        if graph.check_finite and not np.all(np.isfinite(b.out)):
+            raise NumericsError(f"non-finite value produced by {first.op} node {first.nid} at depth {first.depth}")
+        for node, row in zip(group, b.out):
+            node.value = row
+        b._xs = None  # stacked again if the backward kernel reads them, not held meanwhile
+        records.append(b)
+    graph._run = (batched, records)
 
 
 def run_backward(graph: CompGraph, loss: int, batched: bool = True) -> dict[str, np.ndarray]:
-    """Backpropagate from `loss`; returns and installs per-tensor gradients."""
-    if batched:
-        backward_batched(graph, loss)
-    else:
-        backward_naive(graph, loss)
+    """Backpropagate from `loss`; returns and installs per-tensor gradients.
+
+    Runs the kernels of the last `run_forward`, which must have used the same
+    `batched` flag.
+    """
+    nodes = graph.nodes
+    if graph._run is None or graph._run[0] != batched:
+        raise GraphError(f"run_backward(batched={batched}) needs a run_forward with the same flag first")
+    for node in nodes:
+        node.grad = None
+    root = nodes[loss]
+    if root.shape != (1,):
+        raise GraphError(f"loss must be a scalar, got shape {root.shape}")
+    root.grad = np.ones(1)
+    for b in reversed(graph._run[1]):
+        keep = [i for i, node in enumerate(b.group) if node.grad is not None]
+        if not keep:
+            continue
+        if len(keep) < len(b.group):
+            b = _Group(nodes, [b.group[i] for i in keep], b.shared, b.out[keep], tuple(s[keep] for s in b.saved))
+        dws, dxs = KERNELS[b.group[0].op].backward(b, _stack([node.grad for node in b.group]), graph)
+        for nid, d in zip(b.group[0].inputs, dws):
+            _acc(nodes[nid], d)
+        for i, node in enumerate(b.group):
+            for nid, d in zip(node.inputs[b.shared :], dxs):
+                _acc(nodes[nid], d[i])
+        b._xs = None
     grads: dict[str, np.ndarray] = {}
-    for node in graph.nodes:
+    for node in nodes:
         if node.op == "param":
             tensor: Tensor = node.aux
             grad = node.grad if node.grad is not None else np.zeros(tensor.value.shape)

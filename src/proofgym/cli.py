@@ -117,14 +117,17 @@ def cmd_split(args) -> int:
     return 0
 
 
+def _lemma_split(records, manifest, seed):
+    """(train, valid, test) lemma sets: the toy partition or the ingested split."""
+    if manifest.get("kind") == "toy":
+        return partition_lemmas(records, seed=seed)
+    split = split_by_lemma(records, seed=seed)
+    return set(split.train), set(split.valid), set(split.test)
+
+
 def _partitioned_states(records, manifest, task, eq_map, seed):
-    toy = manifest.get("kind") == "toy"
-    states, space = states_for_task(records, task, toy=toy, eq_map=eq_map)
-    if toy:
-        train_l, valid_l, test_l = partition_lemmas(records, seed=seed)
-    else:
-        split = split_by_lemma(records, seed=seed)
-        train_l, valid_l, test_l = set(split.train), set(split.valid), set(split.test)
+    states, space = states_for_task(records, task, toy=manifest.get("kind") == "toy", eq_map=eq_map)
+    train_l, valid_l, test_l = _lemma_split(records, manifest, seed)
     return (
         filter_states(states, train_l),
         filter_states(states, valid_l),
@@ -214,11 +217,7 @@ def _checkpoint_kind(path: str) -> str:
 def _subset(records, states, manifest, subset: str, seed: int):
     if subset == "all":
         return states
-    if manifest.get("kind") == "toy":
-        train_l, valid_l, test_l = partition_lemmas(records, seed=seed)
-    else:
-        split = split_by_lemma(records, seed=seed)
-        train_l, valid_l, test_l = set(split.train), set(split.valid), set(split.test)
+    train_l, valid_l, test_l = _lemma_split(records, manifest, seed)
     chosen = {"train": train_l, "valid": valid_l, "test": test_l}[subset]
     return filter_states(states, chosen)
 

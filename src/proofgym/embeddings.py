@@ -111,6 +111,7 @@ class StateEmbedder:
         # First-encounter stream position per memo key, so unshared traversals
         # assign repeated subterms the same binder vectors a memoized one would.
         self._binder_starts: dict[tuple, int] = {}
+        self._weights: dict[str, tuple[int, ...]] = {}
 
     # -- building blocks -------------------------------------------------------
 
@@ -151,15 +152,26 @@ class StateEmbedder:
         uh = g.matmul(self._recurrent(f"{prefix}_U{gate}"), h)
         return g.add(g.add(wx, uh), self._param(f"{prefix}_b{gate}"))
 
+    def _cell_weights(self, prefix: str) -> tuple[int, ...]:
+        """(W, U, b) per gate of the tanh or GRU cell, U with weight dropout."""
+        hit = self._weights.get(prefix)
+        if hit is None:
+            hit = self._weights[prefix] = tuple(
+                nid
+                for gate in _CELL_GATES[self.cfg.cell]
+                for nid in (
+                    self._param(f"{prefix}_W{gate}"),
+                    self._recurrent(f"{prefix}_U{gate}"),
+                    self._param(f"{prefix}_b{gate}"),
+                )
+            )
+        return hit
+
     def _step_tanh(self, prefix: str, x: int, h: int) -> int:
-        return self.graph.tanh(self._gate(prefix, "", x, h))
+        return self.graph.tanh_cell(x, h, self._cell_weights(prefix))
 
     def _step_gru(self, prefix: str, x: int, h: int) -> int:
-        g = self.graph
-        z = g.sigmoid(self._gate(prefix, "z", x, h))
-        r = g.sigmoid(self._gate(prefix, "r", x, h))
-        h_bar = g.tanh(self._gate(prefix, "h", x, g.mul(r, h)))
-        return g.add(g.mul(g.affine(z, -1.0, 1.0), h), g.mul(z, h_bar))
+        return self.graph.gru_cell(x, h, self._cell_weights(prefix))
 
     def _compose_lstm(self, prefix: str, x: int, children: list[State]) -> State:
         # Child-sum: one forget gate per child, shared input/output/update gates.
@@ -218,7 +230,10 @@ class StateEmbedder:
     def embed_term(self, tid: TermId, env: dict[str, State] | None = None) -> int:
         """Embedding node of one term; the binder stream restarts per call."""
         self._binder_ix = 0
-        return self._embed(tid, env or {})[0]
+        try:
+            return self._embed(tid, env or {})[0]
+        except RecursionError:
+            raise EmbeddingError(f"term {tid} is nested too deeply to embed") from None
 
     def _embed(self, tid: TermId, env: dict[str, State]) -> State:
         store = self.store
@@ -283,15 +298,18 @@ class StateEmbedder:
         env: dict[str, State] = {}
         inputs: list[State] = []
         entries: list[int] = []
-        for i, (name, ty) in enumerate(ctx):
+        try:
+            for i, (name, ty) in enumerate(ctx):
+                self._binder_ix = 0
+                st = self._embed(ty, env)
+                inputs.append(st)
+                entries.append(st[0])
+                v = self.graph.pass_const(self.cfg.pass_seed, (CTX_STREAM, i), self.params.dim)
+                env[name] = self._leaf(v)
             self._binder_ix = 0
-            st = self._embed(ty, env)
-            inputs.append(st)
-            entries.append(st[0])
-            v = self.graph.pass_const(self.cfg.pass_seed, (CTX_STREAM, i), self.params.dim)
-            env[name] = self._leaf(v)
-        self._binder_ix = 0
-        inputs.append(self._embed(goal, env))
+            inputs.append(self._embed(goal, env))
+        except RecursionError:
+            raise EmbeddingError("proof state is nested too deeply to embed") from None
         return self._fold_seq("ctx", inputs)[0], entries
 
 

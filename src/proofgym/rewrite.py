@@ -259,10 +259,13 @@ def oracle_proof(store: TermStore, expr: TermId, target: TermId | None = None) -
     cur = expr
     if cur != target:
         oracle = _Reachability(store)
-        while cur != target:
-            move, kept = oracle.first_move(cur, target)
-            cur = replace_at(store, cur, move.pos, kept, OP_SYMBOL)
-            proof.append(move)
+        try:
+            while cur != target:
+                move, kept = oracle.first_move(cur, target)
+                cur = replace_at(store, cur, move.pos, kept, OP_SYMBOL)
+                proof.append(move)
+        except RecursionError:
+            raise OracleError(f"term {cur} is nested too deeply for the oracle") from None
     return proof + [Reflexivity()]
 
 
@@ -274,7 +277,10 @@ def completable(store: TermStore, expr: TermId, target: TermId | None = None) ->
     """
     if target is None:
         target = store.var(GOAL_VAR)
-    return expr == target or _Reachability(store).reaches(expr, target)
+    try:
+        return expr == target or _Reachability(store).reaches(expr, target)
+    except RecursionError:
+        raise OracleError(f"term {expr} is nested too deeply for the oracle") from None
 
 
 @dataclass(frozen=True)

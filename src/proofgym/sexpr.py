@@ -67,7 +67,11 @@ class _Tokens:
 def parse_sexpr(store: TermStore, text: str, auto_declare: bool = False) -> TermId:
     """Parse one term and intern it. `auto_declare` admits unseen constants."""
     toks = _Tokens(text)
-    tid = _parse(store, toks, auto_declare)
+    try:
+        tid = _parse(store, toks, auto_declare)
+    except RecursionError:
+        _, line, col = toks.peek() or (None, *toks.end)
+        raise ParseError("term nested too deeply", line, col) from None
     trailing = toks.peek()
     if trailing is not None:
         raise ParseError(f"trailing input {trailing[0]!r}", trailing[1], trailing[2])
@@ -152,6 +156,13 @@ def _close(toks: _Tokens) -> None:
 
 
 def print_sexpr(store: TermStore, tid: TermId) -> str:
+    try:
+        return _print(store, tid)
+    except RecursionError:
+        raise TermError(f"term {tid} is nested too deeply to print") from None
+
+
+def _print(store: TermStore, tid: TermId) -> str:
     term = store.term(tid)
     if isinstance(term, Var):
         return f"(v {term.name})"
@@ -159,10 +170,10 @@ def print_sexpr(store: TermStore, tid: TermId) -> str:
         return f"(c {term.symbol})"
     if isinstance(term, App):
         head_term = store.term(term.head)
-        head = head_term.symbol if isinstance(head_term, Const) else print_sexpr(store, term.head)
+        head = head_term.symbol if isinstance(head_term, Const) else _print(store, term.head)
         parts = [f"(app {head}"]
         for child, implicit in term.args:
-            text = print_sexpr(store, child)
+            text = _print(store, child)
             parts.append(f"(impl {text})" if implicit else text)
         return " ".join(parts) + ")"
-    return f"(prod {term.binder} {print_sexpr(store, term.ty)} {print_sexpr(store, term.body)})"
+    return f"(prod {term.binder} {_print(store, term.ty)} {_print(store, term.body)})"

@@ -3,14 +3,18 @@
 The finite-difference oracle here is the ground truth for every gradient
 test; it never touches the library's backward pass. The depth-first rewrite
 search is the reference the reachability oracle in `proofgym.rewrite` must
-agree with, proof for proof.
+agree with, proof for proof, and the recurrent steps composed of primitive
+nodes are the reference for the fused `gru_cell` and `tanh_cell` nodes.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from proofgym.autodiff import CompGraph, Tensor, forward_backward
+from proofgym.embeddings import StateEmbedder
 from proofgym.engine import (
     GOAL_VAR,
     LEFT_IDENTITY,
@@ -55,6 +59,33 @@ def max_relative_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.nd
         denom = np.maximum(1e-8, np.abs(num) + np.abs(ana))
         worst = max(worst, float(np.max(np.abs(num - ana) / denom)))
     return worst
+
+
+# -- reference recurrent cells ------------------------------------------------------
+
+
+def primitive_step_tanh(self: StateEmbedder, prefix: str, x: int, h: int) -> int:
+    return self.graph.tanh(self._gate(prefix, "", x, h))
+
+
+def primitive_step_gru(self: StateEmbedder, prefix: str, x: int, h: int) -> int:
+    g = self.graph
+    z = g.sigmoid(self._gate(prefix, "z", x, h))
+    r = g.sigmoid(self._gate(prefix, "r", x, h))
+    h_bar = g.tanh(self._gate(prefix, "h", x, g.mul(r, h)))
+    return g.add(g.mul(g.affine(z, -1.0, 1.0), h), g.mul(z, h_bar))
+
+
+@contextmanager
+def primitive_cells():
+    """Within the block, StateEmbedder builds every tanh and GRU step from
+    matmul, add, sigmoid, tanh, mul and affine nodes instead of one fused node."""
+    fused = StateEmbedder._step_tanh, StateEmbedder._step_gru
+    StateEmbedder._step_tanh, StateEmbedder._step_gru = primitive_step_tanh, primitive_step_gru
+    try:
+        yield
+    finally:
+        StateEmbedder._step_tanh, StateEmbedder._step_gru = fused
 
 
 # -- reference rewrite search --------------------------------------------------------
@@ -113,6 +144,23 @@ def dfs_completable(store: TermStore, expr: TermId, target: TermId | None = None
         return True
     except OracleError:
         return False
+
+
+# -- deeply nested terms ---------------------------------------------------------
+
+
+def deep_term(store: TermStore, depth: int) -> TermId:
+    """`e (+) (e (+) ( ... (e (+) b)))` with `depth` operator nodes, built bottom-up."""
+    op, e = store.const(OP_SYMBOL), store.const(LEFT_IDENTITY)
+    tid = store.var(GOAL_VAR)
+    for _ in range(depth):
+        tid = store.app(op, [e, tid])
+    return tid
+
+
+def deep_text(depth: int) -> str:
+    """The s-expression of `deep_term(store, depth)`, written without the printer."""
+    return f"(app {OP_SYMBOL} (c {LEFT_IDENTITY}) " * depth + f"(v {GOAL_VAR})" + ")" * depth
 
 
 # -- synthetic generic corpus -------------------------------------------------------

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,27 @@ def op_builders():
     case("softmax_xent", {"x": x}, lambda g: g.softmax_xent(g.param(x), 3))
     case("vsum", {"x": x}, lambda g: g.vsum(g.mul(g.param(x), g.param(x))))
     case("vmean", {"x": x}, lambda g: g.vmean(g.mul(g.param(x), g.param(x))))
+
+    # Recurrent cells: x, h and (W, U, b) per gate as parameters. They draw
+    # from a generator of their own, so every call builds the same graph; see
+    # test_cell_cases_have_informative_gradients for why that matters.
+    def cell_case(name, gates):
+        rng = np.random.default_rng(0)
+        cx = Tensor("cell_x", rng.normal(size=D))
+        ch = Tensor("cell_h", rng.normal(size=D))
+        weights = [
+            Tensor(f"{name}_{part}{i}", rng.normal(size=shape) * 0.5)
+            for i in range(gates)
+            for part, shape in (("W", (D, D)), ("U", (D, D)), ("b", (D,)))
+        ]
+        tensors = {"cell_x": cx, "cell_h": ch, **{t.name: t for t in weights}}
+        cell = getattr(CompGraph, name)
+        case(name, tensors, lambda g: reduce_loss(
+            g, cell(g, g.param(cx), g.param(ch), tuple(g.param(t) for t in weights))
+        ))
+
+    cell_case("gru_cell", 3)
+    cell_case("tanh_cell", 1)
     return cases
 
 
@@ -66,6 +90,19 @@ def test_gradcheck_per_op(name, tensors, build):
     _, grads = forward_backward(graph, loss)
     numeric = central_differences(build, tensors)
     assert max_relative_error(grads, numeric) < 1e-6
+
+
+def test_cell_cases_have_informative_gradients():
+    # Central differences carry about 1e-10 of absolute error, and
+    # max_relative_error compares element by element with a floor of 1e-8, so
+    # an element near 1e-8 would measure noise instead of the backward
+    # kernel. A GRU gate's weight gradient can cancel that far for some
+    # inputs; the cell cases use inputs where none does.
+    for name, _, build in op_builders():
+        if name.endswith("_cell"):
+            graph, loss = build()
+            _, grads = forward_backward(graph, loss)
+            assert min(float(np.min(np.abs(g))) for g in grads.values()) > 1e-5, name
 
 
 def test_gradcheck_dropout_with_fixed_mask():
@@ -161,6 +198,32 @@ def test_shape_inference_errors():
         g.vmean(g.concat([]))
 
 
+def test_cell_shape_errors():
+    g = CompGraph()
+    v = g.const(np.ones(4))
+    sq = g.const(np.ones((4, 4)))
+    b = g.const(np.ones(4))
+    assert g.nodes[g.tanh_cell(v, v, (sq, sq, b))].shape == (4,)
+    with pytest.raises(GraphError):
+        g.tanh_cell(v, v, (sq, sq))  # one weight short
+    with pytest.raises(GraphError):
+        g.gru_cell(v, v, (sq, sq, b))  # three gates need nine weights
+    with pytest.raises(GraphError):
+        g.tanh_cell(v, v, (sq, g.const(np.ones((4, 3))), b))
+    with pytest.raises(GraphError):
+        g.tanh_cell(g.const(np.ones(3)), v, (sq, sq, b))  # W is 4x4, x has 3 rows
+
+
+def test_backward_needs_forward_in_the_same_mode():
+    g = CompGraph()
+    loss = g.vsum(g.param(Tensor("p", np.ones(3))))
+    with pytest.raises(GraphError):
+        run_backward(g, loss)
+    run_forward(g, batched=False)
+    with pytest.raises(GraphError):
+        run_backward(g, loss, batched=True)
+
+
 def test_sxent_label_bounds():
     g = CompGraph()
     v = g.const(np.ones(4))
@@ -238,6 +301,22 @@ def test_batched_buckets_group_by_depth_and_signature():
         assert len({g.nodes[n].depth for n in nodes}) == 1
     matmul_groups = [ns for (_, *_), ns in buckets if g.nodes[ns[0]].op == "matmul"]
     assert any(len(ns) >= 8 for ns in matmul_groups)  # the shared-w matmuls batch
+
+
+def test_graph_freed_without_the_cycle_collector():
+    # A graph's arrays must go when its last reference does: every training
+    # step and inference chunk builds a fresh graph, and arrays that wait for
+    # the cyclic collector pile up between its runs.
+    build, _ = _shared_param_graph(n=4)
+    gc.disable()
+    try:
+        g, loss = build()
+        forward_backward(g, loss)
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_run_backward_returns_zero_for_unused_params():

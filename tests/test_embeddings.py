@@ -1,10 +1,14 @@
+import contextlib
+import random
+
 import numpy as np
 import pytest
 
-from proofgym.autodiff import CompGraph, run_forward
+from proofgym.autodiff import CompGraph, forward_backward, run_forward
 from proofgym.embeddings import (
     CELLS,
     EmbedConfig,
+    EmbeddingError,
     EmbedParams,
     StateEmbedder,
     UnboundVariable,
@@ -14,9 +18,12 @@ from proofgym.embeddings import (
     save_checkpoint,
 )
 from proofgym.engine import declare_domain
+from proofgym.rewrite import gen_expression, statement_for
 from proofgym.sexpr import parse_sexpr
 from proofgym.terms import TermStore
 from proofgym.autodiff import Tensor
+
+from helpers import deep_term, primitive_cells
 
 DIM = 12
 
@@ -185,6 +192,80 @@ def test_embed_state_with_entries_consistent(store, params):
     run_forward(g)
     run_forward(g2)
     assert np.array_equal(g.nodes[state_h].value, g2.nodes[state_only].value)
+
+
+def test_deep_state_raises_embedding_error(store, params):
+    deep = deep_term(store, 5000)
+    emb = StateEmbedder(CompGraph(), params, store, cfg_for())
+    with pytest.raises(EmbeddingError):
+        emb.embed_state((), statement_for(store, deep))
+    with pytest.raises(EmbeddingError):
+        emb.embed_term(deep)
+
+
+# -- fused cells against the primitive reference ------------------------------------
+
+
+def _align_masks(g):
+    """Give the k-th dropout node the k-th mask of one fixed stream, so two
+    graphs that create their dropout nodes in the same order drop the same
+    units whatever their node ids."""
+    drops = [n for n in g.nodes if n.op == "dropout"]
+    for k, node in enumerate(drops):
+        keep = np.random.default_rng((11, k)).random(node.shape) >= node.aux
+        g._masks[node.nid] = keep / (1.0 - node.aux)
+    return [(n.shape, n.aux) for n in drops]
+
+
+def _cells_run(store, params, cfg, states, batched, primitive):
+    with primitive_cells() if primitive else contextlib.nullcontext():
+        g = CompGraph()
+        emb = StateEmbedder(g, params, store, cfg)
+        hs = [emb.embed_state(ctx, goal) for ctx, goal in states]
+    drops = _align_masks(g)
+    loss = g.vmean(g.concat([g.vsum(g.mul(h, h)) for h in hs]))
+    _, grads = forward_backward(g, loss, batched=batched)
+    return np.stack([g.nodes[h].value for h in hs]), grads, drops, len(g.nodes)
+
+
+def _assert_fused_matches_primitive(store, params, cfg, states, batched=True):
+    value, grads, drops, n_fused = _cells_run(store, params, cfg, states, batched, False)
+    ref_value, ref_grads, ref_drops, n_ref = _cells_run(store, params, cfg, states, batched, True)
+    assert drops == ref_drops
+    assert n_fused < n_ref
+    assert np.max(np.abs(value - ref_value)) <= 1e-12 * np.max(np.abs(ref_value))
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        assert np.max(np.abs(grads[name] - ref)) <= 1e-10 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "naive"])
+@pytest.mark.parametrize("cell,dropout", [("gru", 0.0), ("gru", 0.3), ("tanh", 0.0), ("tanh", 0.3)])
+@pytest.mark.parametrize("length", [6, 10, 14])
+def test_fused_cells_match_primitive_reference(store, cell, dropout, batched, length):
+    params = EmbedParams.create(list(store.symbols()), cell, 16, seed=length)
+    cfg = EmbedConfig(cell=cell, dim=16, dropout=dropout, train=dropout > 0, pass_seed=3)
+    rng = random.Random(length)
+    g_ty = store.const("G")
+    states = [
+        ((("b", g_ty),), store.app(store.const("eq"), [gen_expression(store, rng, length), store.var("b")]))
+        for _ in range(4)
+    ]
+    states.append(((), statement_for(store, gen_expression(store, rng, length))))
+    _assert_fused_matches_primitive(store, params, cfg, states, batched)
+
+
+def test_fused_cells_match_primitive_on_shared_state():
+    # criterion 5's synthetic state: f(t, t) nested ten deep over one variable
+    store = TermStore()
+    declare_domain(store)
+    f, eq, G = store.const("f"), store.const("eq"), store.const("G")
+    t = store.var("x")
+    for _ in range(10):
+        t = store.app(f, [t, t])
+    params = EmbedParams.create(list(store.symbols()), "gru", 128, seed=0)
+    cfg = EmbedConfig(cell="gru", dim=128, pass_seed=2)
+    _assert_fused_matches_primitive(store, params, cfg, [((("x", G),), store.app(eq, [t, t]))])
 
 
 # -- implicit arguments --------------------------------------------------------------

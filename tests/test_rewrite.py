@@ -21,7 +21,7 @@ from proofgym.rewrite import (
 from proofgym.sexpr import parse_sexpr, print_sexpr
 from proofgym.terms import TermStore
 
-from helpers import dfs_moves, dfs_oracle_proof
+from helpers import deep_term, dfs_moves, dfs_oracle_proof
 
 
 @pytest.fixture
@@ -161,6 +161,14 @@ def test_completable(store):
     assert completable(store, parse(store, "(app f (c e) (v b))"))
     assert completable(store, parse(store, "(v b)"))  # trivially, zero rewrites
     assert not completable(store, parse(store, "(app f (v b) (c e))"))
+
+
+def test_deep_nesting_raises_oracle_error(store):
+    deep = deep_term(store, 5000)
+    with pytest.raises(OracleError, match="nested too deeply"):
+        oracle_proof(store, deep)
+    with pytest.raises(OracleError, match="nested too deeply"):
+        completable(store, deep)
 
 
 def test_oracle_custom_target(store):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 
 from proofgym.sexpr import ParseError, parse_sexpr, print_sexpr
-from proofgym.terms import TermStore
+from proofgym.terms import TermError, TermStore
 
 from helpers import *  # noqa: F401,F403  (hypothesis profile side effects none)
 from test_terms import build, term_strategy
@@ -90,6 +90,16 @@ def test_parse_error_carries_position(store):
     err = exc_info.value
     assert err.line == 2
     assert err.col >= 1
+
+
+def test_deep_nesting_raises_typed_errors(store):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_sexpr(store, deep_text(5000))
+    with pytest.raises(TermError, match="nested too deeply"):
+        print_sexpr(store, deep_term(store, 5000))
+    shallow = deep_term(store, 200)
+    assert parse_sexpr(store, print_sexpr(store, shallow)) == shallow
+    assert print_sexpr(store, shallow) == deep_text(200)
 
 
 def test_parse_empty_input(store):
