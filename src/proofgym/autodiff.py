@@ -8,9 +8,10 @@ bucket; the naive executor runs the same kernels one node at a time, so the
 two agree up to summation-order effects inside dot products. Gradients are
 one reverse sweep with accumulation at shared nodes.
 
-A recurrent-cell application (`gru_cell`, `tanh_cell`) is one node whose
-inputs are its gate weights, then `x` and `h`, so a bucket of cell steps
-costs a few stacked matmuls instead of a dozen primitive buckets.
+A recurrent-cell application (`gru_cell`, `tanh_cell`, `treelstm_cell`) is
+one node whose inputs are its gate weights, then `x` and the children's
+states, so a bucket of cell steps costs a few stacked matmuls instead of a
+dozen primitive buckets.
 
 Graphs are re-runnable: parameter nodes read their Tensor's current value on
 every forward pass, and `reseed` refreshes the per-pass constants (sampled
@@ -80,6 +81,11 @@ class CompGraph:
         # (nid, key suffix, dim): constants redrawn by reseed(pass_seed).
         self.pass_constants: list[tuple[int, tuple[int, ...], int]] = []
         self._params: dict[str, int] = {}
+        # Dropout node -> its ordinal among dropout nodes in creation order.
+        # Masks are keyed by the ordinal, not the node id, so a graph that
+        # creates its dropout nodes in the same order draws the same masks
+        # however many other nodes it has.
+        self._dropout_ordinals: dict[int, int] = {}
         self._masks: dict[int, np.ndarray] = {}
         self._buckets: list[tuple[tuple, list[int]]] | None = None
         # (batched, per-group records) of the last forward pass, for backward.
@@ -184,7 +190,16 @@ class CompGraph:
     def dropout(self, a: int, rate: float) -> int:
         if not (0.0 <= rate < 1.0):
             raise GraphError(f"dropout rate {rate}")
-        return self._add("dropout", (a,), self.nodes[a].shape, float(rate))
+        nid = self._add("dropout", (a,), self.nodes[a].shape, float(rate))
+        self._dropout_ordinals[nid] = len(self._dropout_ordinals)
+        return nid
+
+    def slice(self, a: int, start: int, stop: int) -> int:
+        """Entries start..stop-1 of a vector."""
+        shape = self.nodes[a].shape
+        if len(shape) != 1 or not (0 <= start < stop <= shape[0]):
+            raise GraphError(f"slice {start}:{stop} of shape {shape}")
+        return self._add("slice", (a,), (stop - start,), (int(start), int(stop)))
 
     def gru_cell(self, x: int, h: int, weights: tuple[int, ...]) -> int:
         """GRU step; `weights` are (W, U, b) for the z, r and candidate gates."""
@@ -203,6 +218,22 @@ class CompGraph:
         if shapes != want:
             raise GraphError(f"{op} weight shapes {shapes}, not {want}")
         return self._add(op, tuple(weights) + (x, h), hs)
+
+    def treelstm_cell(self, x: int, children: list[tuple[int, int]], weights: tuple[int, ...]) -> int:
+        """Child-sum TreeLSTM composition over (h, c) children; its value is
+        the row [h; c]. `weights` are (W, U, b) for the i, o, u and f gates."""
+        xs = self.nodes[x].shape
+        if len(xs) != 1 or not children or len(weights) != 12:
+            raise GraphError(f"treelstm_cell of {xs} with {len(children)} children and {len(weights)} weights")
+        dim = self.nodes[weights[2]].shape[0]
+        shapes = tuple([self.nodes[w].shape for w in weights])
+        want = ((dim, xs[0]), (dim, dim), (dim,)) * 4
+        if shapes != want:
+            raise GraphError(f"treelstm_cell weight shapes {shapes}, not {want}")
+        inputs = tuple([nid for child in children for nid in child])
+        if any(self.nodes[nid].shape != (dim,) for nid in inputs):
+            raise GraphError(f"treelstm_cell children {[self.nodes[nid].shape for nid in inputs]} for dim {dim}")
+        return self._add("treelstm_cell", tuple(weights) + (x,) + inputs, (2 * dim,))
 
     def softmax_xent(self, logits: int, label: int) -> int:
         shape = self.nodes[logits].shape
@@ -232,7 +263,7 @@ class CompGraph:
         mask = self._masks.get(node.nid)
         if mask is None:
             rate = node.aux
-            rng = np.random.default_rng((self.dropout_seed, node.nid))
+            rng = np.random.default_rng((self.dropout_seed, self._dropout_ordinals[node.nid]))
             keep = rng.random(node.shape) >= rate
             mask = self._masks[node.nid] = keep.astype(np.float64) / (1.0 - rate)
         return mask
@@ -329,6 +360,17 @@ def _input_shapes(graph: CompGraph, node: Node) -> tuple:
     return tuple([graph.nodes[i].shape for i in node.inputs])
 
 
+def _slice_key(graph: CompGraph, node: Node) -> tuple:
+    return node.aux, graph.nodes[node.inputs[0]].shape
+
+
+def _slice_backward(b: _Group, g: np.ndarray, graph: CompGraph):
+    start, stop = b.group[0].aux
+    dx = np.zeros((len(b.group),) + graph.nodes[b.group[0].inputs[0]].shape)
+    dx[:, start:stop] = g
+    return [], [dx]
+
+
 def _gather_forward(b: _Group, graph: CompGraph) -> np.ndarray:
     return b.ws[0][np.array([n.aux for n in b.group])]
 
@@ -398,6 +440,50 @@ def _tanh_cell_backward(b: _Group, g: np.ndarray, graph: CompGraph):
     return [d.T @ x, d.T @ h, d.sum(axis=0)], [d @ w, d @ u]
 
 
+def _lstm_forward(b: _Group, graph: CompGraph) -> np.ndarray:
+    wi, ui, bi, wo, uo, bo, wu, uu, bu, wf, uf, bf = b.ws
+    x, *kids = b.xs
+    hs, cs = kids[0::2], kids[1::2]
+    h_sum = sum(hs[1:], hs[0])
+    i = _stable_sigmoid(x @ wi.T + h_sum @ ui.T + bi)
+    o = _stable_sigmoid(x @ wo.T + h_sum @ uo.T + bo)
+    u = np.tanh(x @ wu.T + h_sum @ uu.T + bu)
+    fx = x @ wf.T
+    c = i * u
+    fs = []
+    for h_k, c_k in zip(hs, cs):
+        fs.append(_stable_sigmoid(fx + h_k @ uf.T + bf))
+        c = c + fs[-1] * c_k
+    tc = np.tanh(c)
+    b.saved = (i, o, u, tc, *fs)
+    return np.concatenate([o * tc, c], axis=1)
+
+
+def _lstm_backward(b: _Group, g: np.ndarray, graph: CompGraph):
+    wi, ui, _, wo, uo, _, wu, uu, _, wf, uf, _ = b.ws
+    i, o, u, tc, *fs = b.saved
+    dim = i.shape[1]
+    x, *kids = b.xs
+    hs, cs = kids[0::2], kids[1::2]
+    h_sum = sum(hs[1:], hs[0])
+    gh = g[:, :dim]
+    dc = g[:, dim:] + gh * o * (1.0 - tc**2)
+    di = dc * u * i * (1.0 - i)
+    do = gh * tc * o * (1.0 - o)
+    du = dc * i * (1.0 - u**2)
+    dfs = [dc * c_k * f_k * (1.0 - f_k) for c_k, f_k in zip(cs, fs)]
+    df = sum(dfs[1:], dfs[0])
+    dws = []
+    for d in (di, do, du):
+        dws += [d.T @ x, d.T @ h_sum, d.sum(axis=0)]
+    dws += [df.T @ x, sum(d_k.T @ h_k for d_k, h_k in zip(dfs, hs)), df.sum(axis=0)]
+    dh_sum = di @ ui + do @ uo + du @ uu
+    dxs = [di @ wi + do @ wo + du @ wu + df @ wf]
+    for d_k, f_k in zip(dfs, fs):
+        dxs += [dh_sum + d_k @ uf, dc * f_k]
+    return dws, dxs
+
+
 KERNELS: dict[str, Kernel] = {
     "matmul": Kernel(lambda b, _: b.xs[0] @ b.ws[0].T, lambda b, g, _: ([g.T @ b.xs[0]], [g @ b.ws[0]]), shared=1),
     "add": Kernel(lambda b, _: b.xs[0] + b.xs[1], lambda b, g, _: ([], [g, g])),
@@ -425,7 +511,9 @@ KERNELS: dict[str, Kernel] = {
         lambda b, g, _: ([], [np.broadcast_to(g / b.xs[0].shape[1], b.xs[0].shape)]),
         key=_input_shapes,
     ),
+    "slice": Kernel(lambda b, _: b.xs[0][:, slice(*b.group[0].aux)], _slice_backward, key=_slice_key),
     "gru_cell": Kernel(_gru_forward, _gru_backward, shared=9),
+    "treelstm_cell": Kernel(_lstm_forward, _lstm_backward, shared=12, key=_input_shapes),
     "tanh_cell": Kernel(
         lambda b, _: np.tanh(b.xs[0] @ b.ws[0].T + b.xs[1] @ b.ws[1].T + b.ws[2]), _tanh_cell_backward, shared=3
     ),

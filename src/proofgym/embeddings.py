@@ -57,6 +57,10 @@ class EmbedConfig:
 
 
 _CELL_GATES = {"tanh": ("",), "gru": ("z", "r", "h"), "treelstm": ("i", "f", "o", "u")}
+# The TreeLSTM node takes the three gates that read the children's summed h
+# first, then the per-child forget gate: the order the primitive composition
+# creates their weight-dropout nodes in, so both draw the same masks.
+_FUSED_GATES = {**_CELL_GATES, "treelstm": ("i", "o", "u", "f")}
 
 
 class EmbedParams:
@@ -146,19 +150,14 @@ class StateEmbedder:
             self.graph.memo[key] = hit
         return hit
 
-    def _gate(self, prefix: str, gate: str, x: int, h: int) -> int:
-        g = self.graph
-        wx = g.matmul(self._param(f"{prefix}_W{gate}"), x)
-        uh = g.matmul(self._recurrent(f"{prefix}_U{gate}"), h)
-        return g.add(g.add(wx, uh), self._param(f"{prefix}_b{gate}"))
-
     def _cell_weights(self, prefix: str) -> tuple[int, ...]:
-        """(W, U, b) per gate of the tanh or GRU cell, U with weight dropout."""
+        """(W, U, b) per gate of the cell, in the order its fused node takes
+        them, U with weight dropout."""
         hit = self._weights.get(prefix)
         if hit is None:
             hit = self._weights[prefix] = tuple(
                 nid
-                for gate in _CELL_GATES[self.cfg.cell]
+                for gate in _FUSED_GATES[self.cfg.cell]
                 for nid in (
                     self._param(f"{prefix}_W{gate}"),
                     self._recurrent(f"{prefix}_U{gate}"),
@@ -175,18 +174,9 @@ class StateEmbedder:
 
     def _compose_lstm(self, prefix: str, x: int, children: list[State]) -> State:
         # Child-sum: one forget gate per child, shared input/output/update gates.
-        g = self.graph
-        h_sum = children[0][0]
-        for h_k, _ in children[1:]:
-            h_sum = g.add(h_sum, h_k)
-        i = g.sigmoid(self._gate(prefix, "i", x, h_sum))
-        o = g.sigmoid(self._gate(prefix, "o", x, h_sum))
-        u = g.tanh(self._gate(prefix, "u", x, h_sum))
-        c = g.mul(i, u)
-        for h_k, c_k in children:
-            f_k = g.sigmoid(self._gate(prefix, "f", x, h_k))
-            c = g.add(c, g.mul(f_k, c_k))
-        return (g.mul(o, g.tanh(c)), c)
+        cell = self.graph.treelstm_cell(x, children, self._cell_weights(prefix))
+        dim = self.params.dim
+        return (self.graph.slice(cell, 0, dim), self.graph.slice(cell, dim, 2 * dim))
 
     def _compose(self, prefix: str, kind_vec: int, children: list[State]) -> State:
         x = self._dropped(kind_vec)

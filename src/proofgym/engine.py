@@ -11,7 +11,7 @@ proof work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .terms import App, Const, Prod, TermId, TermStore, Var, op_positions, replace_at
@@ -107,22 +107,28 @@ class ReplayMismatch(EngineError):
     code = "ReplayMismatch"
 
 
+Edge = tuple[int, Tactic, tuple[int, ...]]
+
+
 @dataclass
 class ProofTree:
     nodes: dict[int, ProofState]
-    edges: list[tuple[int, Tactic, tuple[int, ...]]]
     root: int
     finals: set[int]
+    # Edges grow only through add_edge, which keeps the parent index in step.
+    edges: list[Edge] = field(default_factory=list, init=False)
+    _edges_from: dict[int, list[Edge]] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def add_edge(self, parent: int, tactic: Tactic, children: tuple[int, ...]) -> None:
+        edge = (parent, tactic, children)
+        self.edges.append(edge)
+        self._edges_from.setdefault(parent, []).append(edge)
 
     def children_of(self, sid: int) -> list[int]:
-        out: list[int] = []
-        for parent, _, children in self.edges:
-            if parent == sid:
-                out.extend(children)
-        return out
+        return [child for _, _, children in self._edges_from.get(sid, ()) for child in children]
 
-    def edges_from(self, sid: int) -> list[tuple[int, Tactic, tuple[int, ...]]]:
-        return [e for e in self.edges if e[0] == sid]
+    def edges_from(self, sid: int) -> list[Edge]:
+        return list(self._edges_from.get(sid, ()))
 
 
 def rewrite_lhs(store: TermStore, lhs: TermId, tactic: Rewrite) -> TermId:
@@ -186,7 +192,7 @@ class ProofSession:
         self.store = store
         self.lemma = lemma
         root = ProofState(ctx=(), goal=theorem, sid=0)
-        self.tree = ProofTree(nodes={0: root}, edges=[], root=0, finals=set())
+        self.tree = ProofTree(nodes={0: root}, root=0, finals=set())
         self.records: list[TraceRecord] = []
         self._parent: dict[int, int] = {}  # child state -> state its edge leaves
         self._next_id = 1
@@ -225,7 +231,7 @@ class ProofSession:
         for child in children:
             self.tree.nodes[child.sid] = child
             self._parent[child.sid] = parent
-        self.tree.edges.append((parent, tactic, ids))
+        self.tree.add_edge(parent, tactic, ids)
         self.records.append(
             TraceRecord(
                 lemma=self.lemma,

@@ -4,7 +4,8 @@ The finite-difference oracle here is the ground truth for every gradient
 test; it never touches the library's backward pass. The depth-first rewrite
 search is the reference the reachability oracle in `proofgym.rewrite` must
 agree with, proof for proof, and the recurrent steps composed of primitive
-nodes are the reference for the fused `gru_cell` and `tanh_cell` nodes.
+nodes are the reference for the fused `gru_cell`, `tanh_cell` and
+`treelstm_cell` nodes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from proofgym.autodiff import CompGraph, Tensor, forward_backward
-from proofgym.embeddings import StateEmbedder
+from proofgym.embeddings import State, StateEmbedder
 from proofgym.engine import (
     GOAL_VAR,
     LEFT_IDENTITY,
@@ -64,28 +65,61 @@ def max_relative_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.nd
 # -- reference recurrent cells ------------------------------------------------------
 
 
+def primitive_gate(self: StateEmbedder, prefix: str, gate: str, x: int, h: int) -> int:
+    g = self.graph
+    wx = g.matmul(self._param(f"{prefix}_W{gate}"), x)
+    uh = g.matmul(self._recurrent(f"{prefix}_U{gate}"), h)
+    return g.add(g.add(wx, uh), self._param(f"{prefix}_b{gate}"))
+
+
 def primitive_step_tanh(self: StateEmbedder, prefix: str, x: int, h: int) -> int:
-    return self.graph.tanh(self._gate(prefix, "", x, h))
+    return self.graph.tanh(primitive_gate(self, prefix, "", x, h))
 
 
 def primitive_step_gru(self: StateEmbedder, prefix: str, x: int, h: int) -> int:
     g = self.graph
-    z = g.sigmoid(self._gate(prefix, "z", x, h))
-    r = g.sigmoid(self._gate(prefix, "r", x, h))
-    h_bar = g.tanh(self._gate(prefix, "h", x, g.mul(r, h)))
+    z = g.sigmoid(primitive_gate(self, prefix, "z", x, h))
+    r = g.sigmoid(primitive_gate(self, prefix, "r", x, h))
+    h_bar = g.tanh(primitive_gate(self, prefix, "h", x, g.mul(r, h)))
     return g.add(g.mul(g.affine(z, -1.0, 1.0), h), g.mul(z, h_bar))
+
+
+def primitive_compose_lstm(self: StateEmbedder, prefix: str, x: int, children: list[State]) -> State:
+    # Child-sum: one forget gate per child, shared input/output/update gates.
+    g = self.graph
+    h_sum = children[0][0]
+    for h_k, _ in children[1:]:
+        h_sum = g.add(h_sum, h_k)
+    i = g.sigmoid(primitive_gate(self, prefix, "i", x, h_sum))
+    o = g.sigmoid(primitive_gate(self, prefix, "o", x, h_sum))
+    u = g.tanh(primitive_gate(self, prefix, "u", x, h_sum))
+    c = g.mul(i, u)
+    for h_k, c_k in children:
+        f_k = g.sigmoid(primitive_gate(self, prefix, "f", x, h_k))
+        c = g.add(c, g.mul(f_k, c_k))
+    return (g.mul(o, g.tanh(c)), c)
+
+
+_PRIMITIVE = {
+    "_step_tanh": primitive_step_tanh,
+    "_step_gru": primitive_step_gru,
+    "_compose_lstm": primitive_compose_lstm,
+}
 
 
 @contextmanager
 def primitive_cells():
-    """Within the block, StateEmbedder builds every tanh and GRU step from
-    matmul, add, sigmoid, tanh, mul and affine nodes instead of one fused node."""
-    fused = StateEmbedder._step_tanh, StateEmbedder._step_gru
-    StateEmbedder._step_tanh, StateEmbedder._step_gru = primitive_step_tanh, primitive_step_gru
+    """Within the block, StateEmbedder builds every tanh, GRU and TreeLSTM
+    step from matmul, add, sigmoid, tanh, mul and affine nodes instead of one
+    fused node."""
+    fused = {name: getattr(StateEmbedder, name) for name in _PRIMITIVE}
+    for name, method in _PRIMITIVE.items():
+        setattr(StateEmbedder, name, method)
     try:
         yield
     finally:
-        StateEmbedder._step_tanh, StateEmbedder._step_gru = fused
+        for name, method in fused.items():
+            setattr(StateEmbedder, name, method)
 
 
 # -- reference rewrite search --------------------------------------------------------

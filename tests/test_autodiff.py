@@ -60,6 +60,7 @@ def op_builders():
     case("softmax_xent", {"x": x}, lambda g: g.softmax_xent(g.param(x), 3))
     case("vsum", {"x": x}, lambda g: g.vsum(g.mul(g.param(x), g.param(x))))
     case("vmean", {"x": x}, lambda g: g.vmean(g.mul(g.param(x), g.param(x))))
+    case("slice", {"x": x}, lambda g: reduce_loss(g, g.slice(g.param(x), 1, 4)))
 
     # Recurrent cells: x, h and (W, U, b) per gate as parameters. They draw
     # from a generator of their own, so every call builds the same graph; see
@@ -81,6 +82,26 @@ def op_builders():
 
     cell_case("gru_cell", 3)
     cell_case("tanh_cell", 1)
+
+    # TreeLSTM: an outer composition of three children, the middle one an
+    # inner composition whose h and c are the halves of its [h; c] row.
+    rng = np.random.default_rng(0)
+    lx = Tensor("lstm_x", rng.normal(size=D))
+    leaves = [Tensor(f"lstm_{part}{k}", rng.normal(size=D)) for k in range(3) for part in "hc"]
+    weights = [
+        Tensor(f"lstm_{part}{gate}", rng.normal(size=shape) * 0.5)
+        for gate in "iouf"
+        for part, shape in (("W", (D, D)), ("U", (D, D)), ("b", (D,)))
+    ]
+
+    def lstm(g):
+        ws = tuple(g.param(t) for t in weights)
+        h0, c0, h1, c1, h2, c2 = (g.param(t) for t in leaves)
+        inner = g.treelstm_cell(g.param(lx), [(h1, c1)], ws)
+        middle = (g.slice(inner, 0, D), g.slice(inner, D, 2 * D))
+        return reduce_loss(g, g.treelstm_cell(g.param(lx), [(h0, c0), middle, (h2, c2)], ws))
+
+    case("treelstm_cell", {t.name: t for t in [lx, *leaves, *weights]}, lstm)
     return cases
 
 
@@ -212,6 +233,23 @@ def test_cell_shape_errors():
         g.tanh_cell(v, v, (sq, g.const(np.ones((4, 3))), b))
     with pytest.raises(GraphError):
         g.tanh_cell(g.const(np.ones(3)), v, (sq, sq, b))  # W is 4x4, x has 3 rows
+
+    weights = (sq, sq, b) * 4
+    cell = g.treelstm_cell(v, [(v, v)], weights)
+    assert g.nodes[cell].shape == (8,)  # the row [h; c]
+    h, c = g.slice(cell, 0, 4), g.slice(cell, 4, 8)
+    assert g.nodes[h].shape == g.nodes[c].shape == (4,)
+    assert g.nodes[g.treelstm_cell(v, [(h, c), (v, v)], weights)].shape == (8,)
+    with pytest.raises(GraphError):
+        g.treelstm_cell(v, [], weights)  # no children
+    with pytest.raises(GraphError):
+        g.treelstm_cell(v, [(v, v)], weights[:9])  # four gates need twelve weights
+    with pytest.raises(GraphError):
+        g.treelstm_cell(v, [(v, cell)], weights)  # c is a vector of the cell's size, not a row
+    with pytest.raises(GraphError):
+        g.slice(cell, 4, 9)
+    with pytest.raises(GraphError):
+        g.slice(cell, 3, 3)
 
 
 def test_backward_needs_forward_in_the_same_mode():
@@ -361,6 +399,42 @@ def test_reseed_changes_masks_and_pass_constants():
     run_forward(g)
     assert not np.array_equal(mask1, g.nodes[d].value)
     assert not np.array_equal(pc1, g.nodes[pc].value)
+
+
+def test_dropout_masks_keyed_by_creation_order_not_node_id():
+    t = Tensor("x", np.ones(200))
+    u = Tensor("y", np.ones(50))
+
+    def build(padding):
+        g = CompGraph()
+        g.dropout_seed = 7
+        drops = []
+        for k in range(3):
+            for _ in range(padding * k):  # unrelated nodes shift every later node id
+                g.tanh(g.const(np.ones(3)))
+            drops.append(g.dropout(g.param(t if k != 1 else u), 0.5))
+        return g, drops
+
+    g1, d1 = build(0)
+    g2, d2 = build(4)
+    assert d1 != d2
+    for g in (g1, g2):
+        run_forward(g)
+    first = [g1.nodes[n].value.copy() for n in d1]
+    for a, n in zip(first, d2):
+        assert np.array_equal(a, g2.nodes[n].value)
+    assert not np.array_equal(first[0], first[2])  # each ordinal draws its own mask
+
+    # naive runs draw the same masks as batched ones
+    run_forward(g2, batched=False)
+    for a, n in zip(first, d2):
+        assert np.array_equal(a, g2.nodes[n].value)
+
+    # reseed still redraws them
+    g2.reseed(pass_seed=0, dropout_seed=8)
+    run_forward(g2)
+    for a, n in zip(first, d2):
+        assert not np.array_equal(a, g2.nodes[n].value)
 
 
 def test_pass_const_deterministic_by_key():

@@ -33,13 +33,24 @@ HOOKED = [
 
 
 def test_tracer_installs_counts_and_removes():
+    # the `short` workload's cell, which trains without dropout
+    _traced_step_and_prediction("gru", rate=0.0)
+
+
+def test_tracer_on_the_treelstm_path():
+    # the `long` workload's cell, with its default dropout
+    _traced_step_and_prediction("treelstm", rate=0.1)
+
+
+def _traced_step_and_prediction(cell, rate):
     originals = {(owner, name): getattr(owner, name) for owner, name in HOOKED}
     store = TermStore()
     declare_domain(store)
     records, _ = gen_dataset_records(store, DatasetSpec(4, 0, 5, seed=0))
     states, space = models.states_for_task(records, "tac")
-    cfg = models.TrainConfig(cell="gru", dim=8, batch_size=4, seed=0)
+    cfg = models.TrainConfig(cell=cell, dim=8, batch_size=4, seed=0)
     clf = models.Classifier.create(store, space, cfg)
+    assert clf.config(train=True, pass_seed=1).rate == rate
 
     tracer = Tracer()
     tracer.install()

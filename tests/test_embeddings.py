@@ -206,41 +206,37 @@ def test_deep_state_raises_embedding_error(store, params):
 # -- fused cells against the primitive reference ------------------------------------
 
 
-def _align_masks(g):
-    """Give the k-th dropout node the k-th mask of one fixed stream, so two
-    graphs that create their dropout nodes in the same order drop the same
-    units whatever their node ids."""
-    drops = [n for n in g.nodes if n.op == "dropout"]
-    for k, node in enumerate(drops):
-        keep = np.random.default_rng((11, k)).random(node.shape) >= node.aux
-        g._masks[node.nid] = keep / (1.0 - node.aux)
-    return [(n.shape, n.aux) for n in drops]
-
-
 def _cells_run(store, params, cfg, states, batched, primitive):
     with primitive_cells() if primitive else contextlib.nullcontext():
         g = CompGraph()
         emb = StateEmbedder(g, params, store, cfg)
         hs = [emb.embed_state(ctx, goal) for ctx, goal in states]
-    drops = _align_masks(g)
+    # Both graphs create their dropout nodes in the same order, and masks are
+    # keyed by that order, so fused and primitive runs drop the same units.
+    drops = [(n.shape, n.aux) for n in g.nodes if n.op == "dropout"]
     loss = g.vmean(g.concat([g.vsum(g.mul(h, h)) for h in hs]))
     _, grads = forward_backward(g, loss, batched=batched)
-    return np.stack([g.nodes[h].value for h in hs]), grads, drops, len(g.nodes)
+    return np.stack([g.nodes[h].value for h in hs]), grads, drops, g
 
 
 def _assert_fused_matches_primitive(store, params, cfg, states, batched=True):
-    value, grads, drops, n_fused = _cells_run(store, params, cfg, states, batched, False)
-    ref_value, ref_grads, ref_drops, n_ref = _cells_run(store, params, cfg, states, batched, True)
+    """Fused and primitive runs agree; returns the fused graph."""
+    value, grads, drops, g = _cells_run(store, params, cfg, states, batched, False)
+    ref_value, ref_grads, ref_drops, g_ref = _cells_run(store, params, cfg, states, batched, True)
     assert drops == ref_drops
-    assert n_fused < n_ref
+    assert len(g.nodes) < len(g_ref.nodes)
     assert np.max(np.abs(value - ref_value)) <= 1e-12 * np.max(np.abs(ref_value))
     assert grads.keys() == ref_grads.keys()
     for name, ref in ref_grads.items():
         assert np.max(np.abs(grads[name] - ref)) <= 1e-10 * np.max(np.abs(ref)), name
+    return g
 
 
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "naive"])
-@pytest.mark.parametrize("cell,dropout", [("gru", 0.0), ("gru", 0.3), ("tanh", 0.0), ("tanh", 0.3)])
+@pytest.mark.parametrize(
+    "cell,dropout",
+    [("gru", 0.0), ("gru", 0.3), ("tanh", 0.0), ("tanh", 0.3), ("treelstm", 0.0), ("treelstm", 0.3)],
+)
 @pytest.mark.parametrize("length", [6, 10, 14])
 def test_fused_cells_match_primitive_reference(store, cell, dropout, batched, length):
     params = EmbedParams.create(list(store.symbols()), cell, 16, seed=length)
@@ -252,7 +248,12 @@ def test_fused_cells_match_primitive_reference(store, cell, dropout, batched, le
         for _ in range(4)
     ]
     states.append(((), statement_for(store, gen_expression(store, rng, length))))
-    _assert_fused_matches_primitive(store, params, cfg, states, batched)
+    g = _assert_fused_matches_primitive(store, params, cfg, states, batched)
+    if cell == "treelstm":
+        # the context fold composes one child at a time, an App node three
+        # (head and two arguments); weights and x come first
+        arities = {(len(n.inputs) - 13) // 2 for n in g.nodes if n.op == "treelstm_cell"}
+        assert {1, 3} <= arities
 
 
 def test_fused_cells_match_primitive_on_shared_state():

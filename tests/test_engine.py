@@ -19,6 +19,7 @@ from proofgym.engine import (
     steps_below,
     tactic_from_call,
 )
+from proofgym.protocol import ProtocolServer
 from proofgym.rewrite import gen_expression, oracle_proof, statement_for
 from proofgym.sexpr import parse_sexpr, print_sexpr
 from proofgym.terms import TermStore
@@ -191,6 +192,32 @@ def test_steps_below_incomplete_raises(store):
     session = start_session(store, statement(store, RIGHT_ID_THM))
     with pytest.raises(EngineError):
         steps_below(session.tree, 1)
+
+
+def test_edge_index_matches_full_scan():
+    # UNDO replays the kept tactics into a fresh session; a generic edge then
+    # branches into two open states, closed one by rewriting, one by grafting.
+    server = ProtocolServer()
+    server.handle("THEOREM (prod b (c G) (app eq (app f (c e) (app f (v b) (c m))) (v b)))")
+    server.handle("TACTIC rewrite 1 left")
+    server.handle("TACTIC rewrite 1 right")
+    assert server.handle("UNDO").startswith("OK state=2 ")
+    session = server.session
+    state = session.state(2)
+    split = TacticCall("split", "split")
+    left, right = session.apply_generic(2, split, [(state.ctx, state.goal)] * 2)
+    (done,) = session.apply_tactic(left, Rewrite(1, Law.RIGHT))
+    session.apply_tactic(done, Reflexivity())
+    session.apply_generic(right, TacticCall("auto", "auto"), None)
+    assert session.completed
+
+    tree = session.tree
+    for sid in [*tree.nodes, max(tree.nodes) + 1]:
+        scanned = [edge for edge in tree.edges if edge[0] == sid]
+        assert tree.edges_from(sid) == scanned, sid
+        assert tree.children_of(sid) == [child for _, _, children in scanned for child in children], sid
+    assert len(tree.children_of(2)) == 2
+    assert steps_below(tree, 0) == len(tree.edges) == 6
 
 
 def test_rewrite_records(store):
