@@ -24,12 +24,11 @@ EDIT_SENTINEL = 10_000
 class HeuristicFeatures:
     context_size: int
     goal_size: int
-    hypothesis_count: int
     min_edit_distance: int
 
     def as_array(self) -> np.ndarray:
         return np.array(
-            [self.context_size, self.goal_size, self.hypothesis_count, self.min_edit_distance],
+            [self.context_size, self.goal_size, self.min_edit_distance],
             dtype=np.float64,
         )
 
@@ -59,7 +58,6 @@ def extract_features(
     return HeuristicFeatures(
         context_size=len(ctx),
         goal_size=store.tree_size(goal),
-        hypothesis_count=len(ctx),
         min_edit_distance=min(distances) if distances else EDIT_SENTINEL,
     )
 

@@ -13,7 +13,6 @@ import sys
 from .engine import EngineError, Law, Reflexivity, Rewrite, declare_domain, start_session
 from .models import (
     Classifier,
-    ArgumentModel,
     ModelError,
     TrainConfig,
     evaluate,
@@ -181,37 +180,25 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     records, store, manifest = _read_dataset(args.infile)
-    arrays_meta = _checkpoint_kind(args.ckpt)
-    if arrays_meta == "argument":
-        model = ArgumentModel.load(args.ckpt)
-        states, _ = states_for_task(records, "arg")
-        states = _subset(records, states, manifest, args.subset, args.seed)
+    model = Classifier.load(args.ckpt)
+    toy = model.space.task != "tac-generic"
+    task = model.space.task if toy else "tac"
+    states, _ = states_for_task(records, task, toy=toy, eq_map=model.eq_map, bins=model.bins)
+    states = _subset(records, states, manifest, args.subset, args.seed)
+    if task == "arg":
         curve = pr_curve_for(model, store, states)
         if args.pr_out:
             with open(args.pr_out, "w", encoding="utf-8") as fh:
                 fh.write(pr_curve_csv(curve))
         metrics = {
-            "task": "arg",
             "n_states": len(states),
             "recall_at_p10": recall_at_precision(curve, 0.10),
         }
     else:
-        clf = Classifier.load(args.ckpt)
-        task = {"pos": "pos", "tac": "tac", "tac-generic": "tac"}[clf.space.task]
-        toy = clf.space.task != "tac-generic"
-        states, _ = states_for_task(records, task, toy=toy, eq_map=clf.eq_map, bins=clf.bins)
-        states = _subset(records, states, manifest, args.subset, args.seed)
-        metrics = evaluate(clf, store, states)
-        metrics["task"] = clf.space.task
+        metrics = evaluate(model, store, states)
+    metrics["task"] = model.space.task
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return 0
-
-
-def _checkpoint_kind(path: str) -> str:
-    from .embeddings import load_checkpoint
-
-    _, meta = load_checkpoint(path)
-    return meta.get("model", "classifier")
 
 
 def _subset(records, states, manifest, subset: str, seed: int):

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -95,31 +96,33 @@ def generic_tactic_space(eq_map: dict[str, str]) -> ClassSpace:
     return ClassSpace("tac-generic", tuple(sorted(set(eq_map.values()))))
 
 
-def load_equivalence_map(path: str) -> dict[str, str]:
+def argument_space() -> ClassSpace:
+    """Two-way presence of one context entry among the tactic's arguments."""
+    return ClassSpace("arg", ("absent", "present"))
+
+
+def _parse_equivalence_map(lines: Iterable[str], source: str) -> dict[str, str]:
     """Tab-separated `raw_name<TAB>class_name` lines; '#' starts a comment."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ModelError(f"{path}:{lineno}: expected 'raw<TAB>class'")
-            out[parts[0]] = parts[1]
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ModelError(f"{source}:{lineno}: expected 'raw<TAB>class'")
+        out[parts[0]] = parts[1]
     return out
+
+
+def load_equivalence_map(path: str) -> dict[str, str]:
+    with open(path, encoding="utf-8") as fh:
+        return _parse_equivalence_map(fh, path)
 
 
 def default_equivalence_map() -> dict[str, str]:
     text = resources.files("proofgym.data").joinpath("tactic_classes.tsv").read_text("utf-8")
-    out: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        raw, cls = line.split("\t")
-        out[raw] = cls
-    return out
+    return _parse_equivalence_map(text.splitlines(), "tactic_classes.tsv")
 
 
 # -- labels from trace records ------------------------------------------------------
@@ -140,18 +143,24 @@ def _steps_below(records: list[TraceRecord]) -> dict[int, int]:
             raise ModelError(f"duplicate state {rec.state_id} in lemma {rec.lemma!r}")
         by_state[rec.state_id] = rec
 
+    # Post-order walk with an explicit stack: proofs can be thousands of steps deep.
     depth: dict[int, int] = {}
-
-    def below(sid: int) -> int:
-        if sid in depth:
-            return depth[sid]
-        rec = by_state.get(sid)
-        total = 0 if rec is None else 1 + sum(below(child) for child in rec.children)
-        depth[sid] = total
-        return total
-
-    for sid in by_state:
-        below(sid)
+    open_states: set[int] = set()
+    for root in by_state:
+        stack = [(root, False)]
+        while stack:
+            sid, expanded = stack.pop()
+            rec = by_state.get(sid)
+            if expanded:
+                depth[sid] = 1 + sum(depth[child] for child in rec.children)
+            elif sid in depth or rec is None:
+                depth.setdefault(sid, 0)
+            elif sid in open_states:
+                raise ModelError(f"state {sid} of lemma {rec.lemma!r} is its own descendant")
+            else:
+                open_states.add(sid)
+                stack.append((sid, True))
+                stack.extend((child, False) for child in rec.children)
     return {sid: depth[sid] for sid in by_state}
 
 
@@ -213,8 +222,8 @@ def states_for_task(
     toy: bool = True,
     eq_map: dict[str, str] | None = None,
     bins: DepthBins | None = None,
-) -> tuple[list[LabeledState], ClassSpace | None]:
-    """Labeled states plus the class space (None for the two-way argument task)."""
+) -> tuple[list[LabeledState], ClassSpace]:
+    """Labeled states plus their class space."""
     if task == "pos":
         bins = bins or DepthBins()
         return pos_eval_states(records, bins), pos_eval_space(bins)
@@ -223,7 +232,7 @@ def states_for_task(
             return toy_tactic_states(records), toy_tactic_space()
         return generic_tactic_states(records, eq_map or default_equivalence_map())
     if task == "arg":
-        return argument_states(records), None
+        return argument_states(records), argument_space()
     raise ModelError(f"unknown task {task!r}")
 
 
@@ -281,33 +290,38 @@ def _snapshot(tensors: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return {name: t.value.copy() for name, t in tensors.items()}
 
 
-def _restore(tensors: dict[str, Tensor], saved: dict[str, np.ndarray]) -> None:
-    for name, t in tensors.items():
-        t.value = saved[name].copy()
+# Checkpoint kind -> (weight name, bias name, init seed offset, input width in
+# dims). The argument head reads [state; entry] for each context entry, the
+# classifier head the state.
+_HEADS = {"classifier": ("head_W", "head_b", 1, 1), "argument": ("arg_W", "arg_b", 2, 2)}
 
 
+def _kind(space: ClassSpace) -> str:
+    return "argument" if space.task == "arg" else "classifier"
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+@dataclass(eq=False)
 class Classifier:
-    """Proof-state classifier: recursive embedding plus a linear softmax head."""
+    """Recursive state embedding plus a linear softmax head.
 
-    def __init__(
-        self,
-        embed: EmbedParams,
-        head_w: Tensor,
-        head_b: Tensor,
-        space: ClassSpace,
-        level: str = "kernel",
-        bins: DepthBins | None = None,
-        dropout: float | None = None,
-        eq_map: dict[str, str] | None = None,
-    ) -> None:
-        self.embed = embed
-        self.head_w = head_w
-        self.head_b = head_b
-        self.space = space
-        self.level = level
-        self.bins = bins
-        self.dropout = dropout
-        self.eq_map = eq_map
+    With the argument space it ranks context entries: a two-way head over
+    [state; entry] for each entry. Every other space has one head over the
+    state.
+    """
+
+    embed: EmbedParams
+    head_w: Tensor
+    head_b: Tensor
+    space: ClassSpace
+    level: str = "kernel"
+    bins: DepthBins | None = None
+    dropout: float | None = None
+    eq_map: dict[str, str] | None = None
 
     @classmethod
     def create(
@@ -319,10 +333,11 @@ class Classifier:
         eq_map: dict[str, str] | None = None,
     ) -> "Classifier":
         embed = EmbedParams.create(list(store.symbols()), cfg.cell, cfg.dim, seed=cfg.seed)
-        rng = np.random.default_rng(cfg.seed + 1)
-        scale = 1.0 / np.sqrt(cfg.dim)
-        head_w = Tensor("head_W", rng.uniform(-scale, scale, (space.n_classes, cfg.dim)))
-        head_b = Tensor("head_b", np.zeros(space.n_classes))
+        weight, bias, seed_offset, width = _HEADS[_kind(space)]
+        rng = np.random.default_rng(cfg.seed + seed_offset)
+        scale = 1.0 / np.sqrt(width * cfg.dim)
+        head_w = Tensor(weight, rng.uniform(-scale, scale, (space.n_classes, width * cfg.dim)))
+        head_b = Tensor(bias, np.zeros(space.n_classes))
         return cls(embed, head_w, head_b, space, cfg.level, bins, cfg.dropout, eq_map)
 
     def tensors(self) -> dict[str, Tensor]:
@@ -341,9 +356,28 @@ class Classifier:
             pass_seed=pass_seed,
         )
 
-    def _logits_node(self, graph: CompGraph, emb: StateEmbedder, state: LabeledState) -> int:
-        h = emb.embed_state(state.ctx, state.goal)
+    def _head(self, graph: CompGraph, h: int) -> int:
         return graph.add(graph.matmul(graph.param(self.head_w), h), graph.param(self.head_b))
+
+    def _logit_nodes(self, graph: CompGraph, emb: StateEmbedder, state: LabeledState) -> list[int]:
+        """One logit node for the state, or one per context entry for the argument head."""
+        if _kind(self.space) == "classifier":
+            return [self._head(graph, emb.embed_state(state.ctx, state.goal))]
+        state_h, entries = emb.embed_state_with_entries(state.ctx, state.goal)
+        return [self._head(graph, graph.concat([state_h, entry_h])) for entry_h in entries]
+
+    def _softmax_rows(
+        self, store: TermStore, states: list[LabeledState], pass_seed: int, batched: bool, chunk: int
+    ) -> list[list[np.ndarray]]:
+        """Per state, the softmax of each of its logit nodes; one graph per chunk of states."""
+        out: list[list[np.ndarray]] = []
+        for part in _chunks(states, chunk):
+            graph = CompGraph()
+            emb = StateEmbedder(graph, self.embed, store, self.config(train=False, pass_seed=pass_seed))
+            per_state = [self._logit_nodes(graph, emb, st) for st in part]
+            run_forward(graph, batched=batched)
+            out.extend([_softmax(graph.nodes[nid].value) for nid in ids] for ids in per_state)
+        return out
 
     def predict_proba(
         self,
@@ -353,25 +387,27 @@ class Classifier:
         batched: bool = True,
         chunk: int = 64,
     ) -> np.ndarray:
-        rows: list[np.ndarray] = []
-        for part in _chunks(states, chunk):
-            graph = CompGraph()
-            emb = StateEmbedder(graph, self.embed, store, self.config(train=False, pass_seed=pass_seed))
-            logit_ids = [self._logits_node(graph, emb, st) for st in part]
-            run_forward(graph, batched=batched)
-            for nid in logit_ids:
-                z = graph.nodes[nid].value
-                e = np.exp(z - z.max())
-                rows.append(e / e.sum())
+        if _kind(self.space) != "classifier":
+            raise ModelError("an argument model scores context entries, not states")
+        rows = [row for per_state in self._softmax_rows(store, states, pass_seed, batched, chunk) for row in per_state]
         return np.stack(rows) if rows else np.zeros((0, self.space.n_classes))
 
     def predict(self, store: TermStore, state: LabeledState) -> np.ndarray:
         """Distribution over 1-based class ids for one state."""
         return self.predict_proba(store, [state])[0]
 
+    def scores(
+        self, store: TermStore, states: list[LabeledState], pass_seed: int = INFERENCE_SEED, chunk: int = 32
+    ) -> list[np.ndarray]:
+        """Per state: presence probability for each context entry."""
+        if _kind(self.space) != "argument":
+            raise ModelError("only an argument model scores context entries")
+        per_state = self._softmax_rows(store, states, pass_seed, True, chunk)
+        return [np.array([float(row[1]) for row in rows]) for rows in per_state]
+
     def save(self, path: str) -> None:
         meta = {
-            "model": "classifier",
+            "model": _kind(self.space),
             "task": self.space.task,
             "classes": list(self.space.names),
             "cell": self.embed.cell,
@@ -387,15 +423,18 @@ class Classifier:
     @classmethod
     def load(cls, path: str) -> "Classifier":
         arrays, meta = load_checkpoint(path)
-        if meta.get("model") != "classifier":
-            raise ModelError(f"checkpoint is not a classifier: {meta.get('model')!r}")
-        embed = _embed_from_arrays(arrays, meta)
-        space = ClassSpace(meta["task"], tuple(meta["classes"]))
+        if meta.get("model") not in _HEADS:
+            raise ModelError(f"checkpoint holds no known model kind: {meta.get('model')!r}")
+        weight, bias, _, _ = _HEADS[meta["model"]]
+        tensors = {name: Tensor(name, arr) for name, arr in arrays.items() if name not in (weight, bias)}
+        embed = EmbedParams(tensors, {s: i for i, s in enumerate(meta["symbols"])}, meta["cell"], meta["dim"])
+        # argument checkpoints may leave out their fixed class names
+        space = ClassSpace(meta["task"], tuple(meta.get("classes", argument_space().names)))
         bins = DepthBins(tuple(meta["bins"])) if meta.get("bins") else None
         return cls(
             embed,
-            Tensor("head_W", arrays["head_W"]),
-            Tensor("head_b", arrays["head_b"]),
+            Tensor(weight, arrays[weight]),
+            Tensor(bias, arrays[bias]),
             space,
             meta["level"],
             bins,
@@ -404,12 +443,22 @@ class Classifier:
         )
 
 
-def _embed_from_arrays(arrays: dict[str, np.ndarray], meta: dict) -> EmbedParams:
-    tensors = {
-        name: Tensor(name, arr) for name, arr in arrays.items() if not name.startswith("head_") and not name.startswith("arg_")
-    }
-    symbol_index = {s: i for i, s in enumerate(meta["symbols"])}
-    return EmbedParams(tensors, symbol_index, meta["cell"], meta["dim"])
+def _adam_step(
+    model: Classifier,
+    store: TermStore,
+    adam: Adam,
+    pass_seed: int,
+    batched: bool,
+    losses: Callable[[CompGraph, StateEmbedder], list[int]],
+) -> float:
+    """One Adam update on the mean of the loss nodes that `losses` builds."""
+    graph = CompGraph()
+    graph.dropout_seed = pass_seed + 500_000_000
+    emb = StateEmbedder(graph, model.embed, store, model.config(train=True, pass_seed=pass_seed))
+    loss = graph.vmean(graph.concat(losses(graph, emb)))
+    value, _ = forward_backward(graph, loss, batched=batched)
+    adam.step()
+    return value
 
 
 def train_step(
@@ -421,19 +470,17 @@ def train_step(
     batched: bool = True,
 ) -> float:
     """One Adam update on the mean cross-entropy over the batch."""
-    graph = CompGraph()
-    graph.dropout_seed = pass_seed + 500_000_000
-    emb = StateEmbedder(graph, clf.embed, store, clf.config(train=True, pass_seed=pass_seed))
-    losses = []
-    for st in batch:
-        if st.label is None:
-            raise ModelError("state without a label in a training batch")
-        logits = clf._logits_node(graph, emb, st)
-        losses.append(graph.softmax_xent(logits, st.label - 1))
-    loss = graph.vmean(graph.concat(losses))
-    value, _ = forward_backward(graph, loss, batched=batched)
-    adam.step()
-    return value
+
+    def losses(graph: CompGraph, emb: StateEmbedder) -> list[int]:
+        out = []
+        for st in batch:
+            if st.label is None:
+                raise ModelError("state without a label in a training batch")
+            (logits,) = clf._logit_nodes(graph, emb, st)
+            out.append(graph.softmax_xent(logits, st.label - 1))
+        return out
+
+    return _adam_step(clf, store, adam, pass_seed, batched, losses)
 
 
 @dataclass
@@ -441,6 +488,45 @@ class EpochStats:
     epoch: int
     mean_loss: float
     valid_accuracy: float
+
+
+def _fit(
+    model: Classifier,
+    cfg: TrainConfig,
+    epoch_items: Callable[[], list],
+    step: Callable[[list, Adam, int], float],
+    score: Callable[[], float],
+    log,
+    metric: str,
+) -> list[EpochStats]:
+    """Epoch loop of both trainers: Adam over `epoch_items()` in batches, then
+    `score()` on the validation set. Keeps the best-scoring weights and stops
+    after `cfg.patience` epochs without a gain."""
+    adam = Adam(model.tensors(), lr=cfg.lr)
+    best_score = -1.0
+    best = _snapshot(model.tensors())
+    history: list[EpochStats] = []
+    stale = 0
+    for epoch in range(cfg.max_epochs):
+        batches = _chunks(epoch_items(), cfg.batch_size)
+        total = 0.0
+        for i, batch in enumerate(batches):
+            total += step(batch, adam, _pass_seed(cfg.seed, epoch, i))
+        valid = score()
+        history.append(EpochStats(epoch, total / max(len(batches), 1), valid))
+        if log:
+            log(f"epoch {epoch}: loss {history[-1].mean_loss:.4f} valid {metric} {valid:.4f}")
+        if valid > best_score:
+            best_score = valid
+            best = _snapshot(model.tensors())
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+    for name, t in model.tensors().items():
+        t.value = best[name].copy()
+    return history
 
 
 def train_classifier(
@@ -461,33 +547,20 @@ def train_classifier(
     if missing:
         warnings.warn(f"classes absent from training labels: {sorted(missing)}")
     clf = Classifier.create(store, space, cfg, bins, eq_map)
-    adam = Adam(clf.tensors(), lr=cfg.lr)
     order = list(train_states)
     rng = random.Random(cfg.seed)
-    best_acc = -1.0
-    best = _snapshot(clf.tensors())
-    history: list[EpochStats] = []
-    stale = 0
-    for epoch in range(cfg.max_epochs):
+
+    def shuffled() -> list[LabeledState]:
         rng.shuffle(order)
-        total = 0.0
-        batches = _chunks(order, cfg.batch_size)
-        for i, batch in enumerate(batches):
-            total += train_step(clf, store, batch, adam, _pass_seed(cfg.seed, epoch, i))
-        acc = evaluate(clf, store, valid_states)["accuracy"] if valid_states else 0.0
-        history.append(EpochStats(epoch, total / max(len(batches), 1), acc))
-        if log:
-            log(f"epoch {epoch}: loss {history[-1].mean_loss:.4f} valid acc {acc:.4f}")
-        if acc > best_acc:
-            best_acc = acc
-            best = _snapshot(clf.tensors())
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-    _restore(clf.tensors(), best)
-    return clf, history
+        return order
+
+    def step(batch: list[LabeledState], adam: Adam, pass_seed: int) -> float:
+        return train_step(clf, store, batch, adam, pass_seed)
+
+    def accuracy() -> float:
+        return evaluate(clf, store, valid_states)["accuracy"] if valid_states else 0.0
+
+    return clf, _fit(clf, cfg, shuffled, step, accuracy, log, "acc")
 
 
 def evaluate(clf: Classifier, store: TermStore, states: list[LabeledState]) -> dict:
@@ -517,95 +590,6 @@ def evaluate(clf: Classifier, store: TermStore, states: list[LabeledState]) -> d
 # -- argument presence -----------------------------------------------------------------
 
 
-class ArgumentModel:
-    """Scores (state, context entry) pairs for argument presence."""
-
-    def __init__(self, embed: EmbedParams, arg_w: Tensor, arg_b: Tensor, level: str = "kernel", dropout: float | None = None) -> None:
-        self.embed = embed
-        self.arg_w = arg_w
-        self.arg_b = arg_b
-        self.level = level
-        self.dropout = dropout
-
-    @classmethod
-    def create(cls, store: TermStore, cfg: TrainConfig) -> "ArgumentModel":
-        embed = EmbedParams.create(list(store.symbols()), cfg.cell, cfg.dim, seed=cfg.seed)
-        rng = np.random.default_rng(cfg.seed + 2)
-        scale = 1.0 / np.sqrt(2 * cfg.dim)
-        arg_w = Tensor("arg_W", rng.uniform(-scale, scale, (2, 2 * cfg.dim)))
-        arg_b = Tensor("arg_b", np.zeros(2))
-        return cls(embed, arg_w, arg_b, cfg.level, cfg.dropout)
-
-    def tensors(self) -> dict[str, Tensor]:
-        out = dict(self.embed.tensors)
-        out[self.arg_w.name] = self.arg_w
-        out[self.arg_b.name] = self.arg_b
-        return out
-
-    def config(self, train: bool, pass_seed: int) -> EmbedConfig:
-        return EmbedConfig(
-            cell=self.embed.cell,
-            dim=self.embed.dim,
-            drop_implicit=(self.level == "mid"),
-            dropout=self.dropout,
-            train=train,
-            pass_seed=pass_seed,
-        )
-
-    def _pair_logits(self, graph: CompGraph, emb: StateEmbedder, state: LabeledState) -> list[int]:
-        env_entries, state_h = _entries_and_state(emb, state)
-        out = []
-        for entry_h in env_entries:
-            joined = graph.concat([state_h, entry_h])
-            out.append(graph.add(graph.matmul(graph.param(self.arg_w), joined), graph.param(self.arg_b)))
-        return out
-
-    def scores(
-        self, store: TermStore, states: list[LabeledState], pass_seed: int = INFERENCE_SEED, chunk: int = 32
-    ) -> list[np.ndarray]:
-        """Per state: presence probability for each context entry."""
-        out: list[np.ndarray] = []
-        for part in _chunks(states, chunk):
-            graph = CompGraph()
-            emb = StateEmbedder(graph, self.embed, store, self.config(train=False, pass_seed=pass_seed))
-            per_state = [self._pair_logits(graph, emb, st) for st in part]
-            run_forward(graph, batched=True)
-            for logit_ids in per_state:
-                probs = []
-                for nid in logit_ids:
-                    z = graph.nodes[nid].value
-                    e = np.exp(z - z.max())
-                    probs.append(float((e / e.sum())[1]))
-                out.append(np.array(probs))
-        return out
-
-    def save(self, path: str) -> None:
-        meta = {
-            "model": "argument",
-            "task": "arg",
-            "cell": self.embed.cell,
-            "dim": self.embed.dim,
-            "level": self.level,
-            "dropout": self.dropout,
-            "symbols": sorted(self.embed.symbol_index, key=self.embed.symbol_index.get),
-        }
-        save_checkpoint(path, self.tensors(), meta)
-
-    @classmethod
-    def load(cls, path: str) -> "ArgumentModel":
-        arrays, meta = load_checkpoint(path)
-        if meta.get("model") != "argument":
-            raise ModelError(f"checkpoint is not an argument model: {meta.get('model')!r}")
-        embed = _embed_from_arrays(arrays, meta)
-        return cls(embed, Tensor("arg_W", arrays["arg_W"]), Tensor("arg_b", arrays["arg_b"]), meta["level"], meta.get("dropout"))
-
-
-def _entries_and_state(emb: StateEmbedder, state: LabeledState) -> tuple[list[int], int]:
-    """Entry-type embeddings plus the folded state embedding, sharing one pass."""
-    state_h, entry_ids = emb.embed_state_with_entries(state.ctx, state.goal)
-    return entry_ids, state_h
-
-
 def train_argument_model(
     store: TermStore,
     train_states: list[LabeledState],
@@ -614,7 +598,7 @@ def train_argument_model(
     max_neg_ratio: float = 4.0,
     pos_weight: float | None = None,
     log=None,
-) -> tuple[ArgumentModel, list[EpochStats]]:
+) -> tuple[Classifier, list[EpochStats]]:
     """Weighted two-way training over (state, entry) pairs.
 
     The positive class weight defaults to the negative/positive ratio of the
@@ -622,77 +606,43 @@ def train_argument_model(
     `max_neg_ratio` per positive.
     """
     pairs = [(st, i, st.arg_flags[i]) for st in train_states for i in range(len(st.ctx))]
-    n_pos = sum(1 for _, _, flag in pairs if flag)
-    n_neg = len(pairs) - n_pos
-    if n_pos == 0:
-        raise ModelError("argument training needs at least one positive pair")
-    if pos_weight is None:
-        pos_weight = n_neg / n_pos
-    model = ArgumentModel.create(store, cfg)
-    adam = Adam(model.tensors(), lr=cfg.lr)
-    rng = random.Random(cfg.seed)
     positives = [p for p in pairs if p[2]]
     negatives = [p for p in pairs if not p[2]]
-    best_score = -1.0
-    best = _snapshot(model.tensors())
-    history: list[EpochStats] = []
-    stale = 0
-    for epoch in range(cfg.max_epochs):
-        kept_neg = negatives
-        cap = int(max_neg_ratio * len(positives))
-        if len(negatives) > cap:
-            kept_neg = rng.sample(negatives, cap)
+    if not positives:
+        raise ModelError("argument training needs at least one positive pair")
+    weight = len(negatives) / len(positives) if pos_weight is None else pos_weight
+    model = Classifier.create(store, argument_space(), cfg)
+    rng = random.Random(cfg.seed)
+    cap = int(max_neg_ratio * len(positives))
+
+    def subsampled() -> list[tuple[LabeledState, int, bool]]:
+        kept_neg = rng.sample(negatives, cap) if len(negatives) > cap else negatives
         epoch_pairs = positives + kept_neg
         rng.shuffle(epoch_pairs)
-        total = 0.0
-        batches = _chunks(epoch_pairs, cfg.batch_size)
-        for i, batch in enumerate(batches):
-            total += _argument_step(model, store, batch, adam, _pass_seed(cfg.seed, epoch, i), pos_weight)
-        score = average_precision(pr_curve_for(model, store, valid_states)) if valid_states else 0.0
-        history.append(EpochStats(epoch, total / max(len(batches), 1), score))
-        if log:
-            log(f"epoch {epoch}: loss {history[-1].mean_loss:.4f} valid AP {score:.4f}")
-        if score > best_score:
-            best_score = score
-            best = _snapshot(model.tensors())
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-    _restore(model.tensors(), best)
-    return model, history
+        return epoch_pairs
+
+    def step(batch: list[tuple[LabeledState, int, bool]], adam: Adam, pass_seed: int) -> float:
+        def losses(graph: CompGraph, emb: StateEmbedder) -> list[int]:
+            embedded: dict[int, tuple[int, list[int]]] = {}  # each state is embedded once
+            out = []
+            for st, entry_ix, flag in batch:
+                if id(st) not in embedded:
+                    embedded[id(st)] = emb.embed_state_with_entries(st.ctx, st.goal)
+                state_h, entries = embedded[id(st)]
+                logits = model._head(graph, graph.concat([state_h, entries[entry_ix]]))
+                xent = graph.softmax_xent(logits, 1 if flag else 0)
+                out.append(graph.affine(xent, weight if flag else 1.0, 0.0))
+            return out
+
+        return _adam_step(model, store, adam, pass_seed, True, losses)
+
+    def precision() -> float:
+        return average_precision(pr_curve_for(model, store, valid_states)) if valid_states else 0.0
+
+    return model, _fit(model, cfg, subsampled, step, precision, log, "AP")
 
 
-def _argument_step(
-    model: ArgumentModel,
-    store: TermStore,
-    batch: list[tuple[LabeledState, int, bool]],
-    adam: Adam,
-    pass_seed: int,
-    pos_weight: float,
-) -> float:
-    graph = CompGraph()
-    graph.dropout_seed = pass_seed + 500_000_000
-    emb = StateEmbedder(graph, model.embed, store, model.config(train=True, pass_seed=pass_seed))
-    cache: dict[int, tuple[list[int], int]] = {}
-    losses = []
-    for st, entry_ix, flag in batch:
-        key = id(st)
-        if key not in cache:
-            cache[key] = _entries_and_state(emb, st)
-        entry_ids, state_h = cache[key]
-        joined = graph.concat([state_h, entry_ids[entry_ix]])
-        logits = graph.add(graph.matmul(graph.param(model.arg_w), joined), graph.param(model.arg_b))
-        xent = graph.softmax_xent(logits, 1 if flag else 0)
-        losses.append(graph.affine(xent, pos_weight if flag else 1.0, 0.0))
-    loss = graph.vmean(graph.concat(losses))
-    value, _ = forward_backward(graph, loss)
-    adam.step()
-    return value
-
-
-def pr_curve_for(model: ArgumentModel, store: TermStore, states: list[LabeledState]) -> list[tuple[float, float, float]]:
+def pr_curve_for(model: Classifier, store: TermStore, states: list[LabeledState]) -> list[tuple[float, float, float]]:
     scores: list[float] = []
     labels: list[bool] = []
     per_state = model.scores(store, states)

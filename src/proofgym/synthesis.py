@@ -23,7 +23,7 @@ from .engine import (
     rewrite_lhs,
     start_session,
 )
-from .models import Classifier, LabeledState, decode_toy_tactic
+from .models import Classifier, LabeledState, ModelError, decode_toy_tactic
 from .rewrite import TheoremSpec, completable, oracle_proof
 from .terms import App, Prod, TermId, TermStore
 
@@ -45,6 +45,8 @@ class ModelPredictor:
     """
 
     def __init__(self, classifier: Classifier) -> None:
+        if classifier.space.task != "tac":
+            raise ModelError(f"a {classifier.space.task!r} model does not predict toy rewrite tactics")
         self.classifier = classifier
 
     def propose(self, store: TermStore, ctx, goal) -> Tactic:

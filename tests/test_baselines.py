@@ -53,7 +53,6 @@ def test_extract_features_with_hypothesis(store):
     g_ty = parse_sexpr(store, "(c G)")
     goal = parse_sexpr(store, "(app eq (v b) (v b))")
     feats = extract_features(store, (("b", g_ty),), goal)
-    assert feats.hypothesis_count == 1
     assert feats.context_size == 1
     assert feats.goal_size == store.tree_size(goal)
     # "(c G)" vs "(app eq (v b) (v b))" tokenized
@@ -64,7 +63,7 @@ def test_extract_features_with_hypothesis(store):
 def test_extract_features_empty_ctx_sentinel(store):
     goal = parse_sexpr(store, "(app eq (c e) (c e))")
     feats = extract_features(store, (), goal)
-    assert feats.hypothesis_count == 0
+    assert feats.context_size == 0
     assert feats.min_edit_distance == EDIT_SENTINEL == 10_000
 
 
@@ -77,8 +76,8 @@ def test_extract_features_picks_minimum(store):
 
 
 def test_features_as_array_order():
-    feats = HeuristicFeatures(2, 7, 2, 3)
-    assert feats.as_array().tolist() == [2.0, 7.0, 2.0, 3.0]
+    feats = HeuristicFeatures(2, 7, 3)
+    assert feats.as_array().tolist() == [2.0, 7.0, 3.0]
 
 
 # -- constant baseline ----------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from helpers import make_generic_corpus
 from proofgym.cli import main
-from proofgym.models import ArgumentModel, Classifier
+from proofgym.models import Classifier
 from proofgym.terms import TermStore
 from proofgym.traces import read_dataset, write_dataset
 
@@ -173,7 +173,7 @@ def test_train_and_eval_argument_model(ws, generic_file):
     metrics = json.loads(out)
     assert metrics["task"] == "arg"
     assert 0.0 <= metrics["test_recall_at_p10"] <= 1.0
-    ArgumentModel.load(str(ckpt))
+    assert Classifier.load(str(ckpt)).space.task == "arg"
 
     csv_path = ws / "curve.csv"
     code, out, _ = run(
@@ -321,6 +321,18 @@ def test_bench_report(ws, tac_ckpt, toy_file):
     assert report["completed_fallback"] == 2
     assert len(report["per_theorem"]) == 2
     assert {t["lemma"] for t in report["per_theorem"]} == {"thm_test_0000", "thm_test_0001"}
+
+
+def test_prove_and_bench_reject_a_non_tactic_checkpoint(ws, pos_ckpt, toy_file):
+    path, _ = pos_ckpt
+    code, out, err = run(["prove", "--ckpt", path, "--theorem", TWO_STEP])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "'pos'" in err
+    code, out, err = run(
+        ["bench", "--ckpt", path, "--in", toy_file, "--report", str(ws / "pos-report.json")]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "'pos'" in err
 
 
 def test_serve_runs_protocol_on_stdio(monkeypatch):

@@ -4,13 +4,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import make_generic_corpus
+from proofgym import models
 from proofgym.engine import Law, Rewrite, declare_domain
 from proofgym.models import (
     TOY_MAX_POS,
-    ArgumentModel,
     Classifier,
+    LabeledState,
     ModelError,
     TrainConfig,
+    argument_space,
     argument_states,
     average_precision,
     decode_toy_tactic,
@@ -20,6 +22,7 @@ from proofgym.models import (
     filter_states,
     generic_tactic_space,
     generic_tactic_states,
+    group_by_lemma,
     load_equivalence_map,
     partition_lemmas,
     pos_eval_space,
@@ -34,9 +37,10 @@ from proofgym.models import (
     train_argument_model,
     train_classifier,
 )
+from proofgym.embeddings import save_checkpoint
 from proofgym.rewrite import DatasetSpec, gen_dataset_records
 from proofgym.terms import TermStore
-from proofgym.traces import DepthBins
+from proofgym.traces import DepthBins, TacticCall, TraceRecord, bin_depth
 
 SMALL = TrainConfig(dim=16, batch_size=8, lr=0.01, max_epochs=4, patience=2, seed=0)
 
@@ -118,6 +122,47 @@ def test_pos_eval_binning_golden(store, toy_records):
         assert sorted(labels) == [1, 1, 1, 1, 1, 2]
 
 
+def _recursive_steps_below(records):
+    """Reference edge counts: one recursive call per state."""
+    by_state = {rec.state_id: rec for rec in records}
+
+    def below(sid):
+        rec = by_state.get(sid)
+        return 0 if rec is None else 1 + sum(below(child) for child in rec.children)
+
+    return {sid: below(sid) for sid in by_state}
+
+
+@pytest.mark.parametrize("length", [4, 7, 10, 14])
+def test_steps_below_matches_recursive_reference(store, length):
+    records, _ = gen_dataset_records(store, DatasetSpec(n_train=8, n_test=2, length=length, seed=length))
+    records += make_generic_corpus(store, n_lemmas=3)
+    for recs in group_by_lemma(records).values():
+        assert models._steps_below(recs) == _recursive_steps_below(recs)
+
+
+def _chain(store, n, close=True):
+    """One lemma whose proof is a chain of n states; the last one closes or loops back."""
+    goal = store.const("e")
+    tactic = TacticCall("rewrite", "rewrite 1 left")
+    return [
+        TraceRecord("deep", i, i - 1 if i else None, (), goal, tactic,
+                    (i + 1,) if i + 1 < n else (() if close else (0,)))
+        for i in range(n)
+    ]
+
+
+def test_pos_eval_labels_on_a_chain_deeper_than_the_recursion_limit(store):
+    n = 3_000
+    states = pos_eval_states(_chain(store, n))
+    assert [s.label for s in states] == [bin_depth(n - i, DepthBins()) for i in range(n)]
+
+
+def test_steps_below_rejects_a_cycle(store):
+    with pytest.raises(ModelError, match="own descendant"):
+        pos_eval_states(_chain(store, 50, close=False))
+
+
 def test_toy_tactic_states_skip_non_rewrites(store, toy_records):
     states = toy_tactic_states(toy_records)
     n_rewrites = sum(1 for r in toy_records if r.tactic.class_name == "rewrite")
@@ -173,7 +218,8 @@ def test_states_for_task_dispatch(store, toy_records):
     states, space = states_for_task(generic, "tac", toy=False)
     assert space.task == "tac-generic"
     states, space = states_for_task(generic, "arg")
-    assert space is None
+    assert space == argument_space()
+    assert space.task == "arg" and space.names == ("absent", "present")
     with pytest.raises(ModelError):
         states_for_task(toy_records, "no-such-task")
 
@@ -299,33 +345,77 @@ def test_evaluate_empty(store):
 # -- checkpointing ---------------------------------------------------------------
 
 
-def test_classifier_save_load_bitwise(store, toy_records, tmp_path):
-    states, space = states_for_task(toy_records, "pos")
-    clf = Classifier.create(store, space, SMALL, bins=DepthBins(), eq_map=None)
-    path = str(tmp_path / "clf.npz")
-    clf.save(path)
-    loaded = Classifier.load(path)
-    for name, t in clf.tensors().items():
-        assert np.array_equal(t.value, loaded.tensors()[name].value)
-    assert loaded.space == clf.space
-    assert loaded.level == clf.level
-    assert loaded.bins == clf.bins
-    probs = clf.predict_proba(store, states[:5])
-    probs2 = loaded.predict_proba(store, states[:5])
-    assert np.array_equal(probs, probs2)
+def _checkpoint_case(store, kind):
+    """A fresh model of the kind plus states its outputs are compared on."""
+    if kind == "argument":
+        states = argument_states(make_generic_corpus(store, n_lemmas=3))
+        return Classifier.create(store, argument_space(), SMALL), states
+    states, space = states_for_task(
+        gen_dataset_records(store, DatasetSpec(n_train=3, n_test=0, length=5, seed=0))[0], "pos"
+    )
+    return Classifier.create(store, space, SMALL, bins=DepthBins(), eq_map=None), states
 
 
-def test_classifier_load_rejects_wrong_kind(store, tmp_path):
-    model = ArgumentModel.create(store, SMALL)
-    path = str(tmp_path / "arg.npz")
+def _outputs(model, store, states):
+    if model.space.task == "arg":
+        return np.concatenate(model.scores(store, states))
+    return model.predict_proba(store, states)
+
+
+@pytest.mark.parametrize("kind", ["classifier", "argument"])
+def test_save_load_bitwise(store, tmp_path, kind):
+    model, states = _checkpoint_case(store, kind)
+    path = str(tmp_path / f"{kind}.npz")
     model.save(path)
-    with pytest.raises(ModelError, match="not a classifier"):
+    loaded = Classifier.load(path)
+    assert list(loaded.tensors()) == list(model.tensors())
+    for name, t in model.tensors().items():
+        assert np.array_equal(t.value, loaded.tensors()[name].value)
+    assert loaded.space == model.space
+    assert loaded.level == model.level
+    assert loaded.bins == model.bins
+    assert np.array_equal(_outputs(model, store, states), _outputs(loaded, store, states))
+
+
+@pytest.mark.parametrize("kind", ["classifier", "argument"])
+def test_load_checkpoint_written_with_separate_model_meta(store, tmp_path, kind):
+    # the meta that checkpoints carried when the argument ranker was a class
+    # of its own: the argument meta has no classes, bins or eq_map keys
+    model, states = _checkpoint_case(store, kind)
+    meta = {
+        "model": kind,
+        "task": model.space.task,
+        "cell": model.embed.cell,
+        "dim": model.embed.dim,
+        "level": model.level,
+        "dropout": model.dropout,
+        "symbols": sorted(model.embed.symbol_index, key=model.embed.symbol_index.get),
+    }
+    if kind == "classifier":
+        meta.update(classes=list(model.space.names), bins=list(model.bins.uppers), eq_map=None)
+    path = str(tmp_path / f"{kind}.npz")
+    save_checkpoint(path, model.tensors(), meta)
+    loaded = Classifier.load(path)
+    assert loaded.space == model.space
+    assert {"classifier": "head_W", "argument": "arg_W"}[kind] in loaded.tensors()
+    assert np.array_equal(_outputs(model, store, states), _outputs(loaded, store, states))
+
+
+def test_load_rejects_unknown_model_kind(store, tmp_path):
+    model, _ = _checkpoint_case(store, "classifier")
+    path = str(tmp_path / "other.npz")
+    save_checkpoint(path, model.tensors(), {"model": "regressor", "task": "pos"})
+    with pytest.raises(ModelError, match="regressor"):
         Classifier.load(path)
-    clf = Classifier.create(store, pos_eval_space(), SMALL)
-    path2 = str(tmp_path / "clf.npz")
-    clf.save(path2)
-    with pytest.raises(ModelError, match="not an argument model"):
-        ArgumentModel.load(path2)
+
+
+def test_state_and_entry_heads_reject_each_others_calls(store):
+    clf, states = _checkpoint_case(store, "classifier")
+    with pytest.raises(ModelError):
+        clf.scores(store, states)
+    model, states = _checkpoint_case(store, "argument")
+    with pytest.raises(ModelError):
+        model.predict_proba(store, states)
 
 
 def test_classifier_checkpoint_keeps_eq_map(store, tmp_path):
@@ -335,15 +425,6 @@ def test_classifier_checkpoint_keeps_eq_map(store, tmp_path):
     path = str(tmp_path / "gen.npz")
     clf.save(path)
     assert Classifier.load(path).eq_map == eq_map
-
-
-def test_argument_model_save_load(store, tmp_path):
-    model = ArgumentModel.create(store, SMALL)
-    path = str(tmp_path / "arg.npz")
-    model.save(path)
-    loaded = ArgumentModel.load(path)
-    for name, t in model.tensors().items():
-        assert np.array_equal(t.value, loaded.tensors()[name].value)
 
 
 # -- argument model ------------------------------------------------------------------
@@ -372,7 +453,7 @@ def test_argument_model_requires_positives(store):
 def test_argument_scores_shapes(store):
     records = make_generic_corpus(store, n_lemmas=3)
     states = argument_states(records)
-    model = ArgumentModel.create(store, SMALL)
+    model = Classifier.create(store, argument_space(), SMALL)
     scores = model.scores(store, states)
     assert len(scores) == len(states)
     for stt, probs in zip(states, scores):
@@ -445,6 +526,6 @@ def test_load_equivalence_map(tmp_path):
 
 def test_load_equivalence_map_rejects_bad_lines(tmp_path):
     path = tmp_path / "bad.tsv"
-    path.write_text("no-tabs-here\n")
-    with pytest.raises(ModelError, match="expected"):
+    path.write_text("foo\tbar\nno-tabs-here\n")
+    with pytest.raises(ModelError, match=r"bad\.tsv:2: expected"):
         load_equivalence_map(str(path))
