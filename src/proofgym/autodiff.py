@@ -73,10 +73,9 @@ class Node:
 
 
 class CompGraph:
-    def __init__(self, check_finite: bool = True) -> None:
+    def __init__(self) -> None:
         self.nodes: list[Node] = []
         self.memo: dict = {}
-        self.check_finite = check_finite
         self.dropout_seed = 0
         # (nid, key suffix, dim): constants redrawn by reseed(pass_seed).
         self.pass_constants: list[tuple[int, tuple[int, ...], int]] = []
@@ -543,7 +542,7 @@ def run_forward(graph: CompGraph, batched: bool = True) -> None:
         kernel = KERNELS[first.op]
         b = _Group(nodes, group, kernel.shared)
         b.out = kernel.forward(b, graph)
-        if graph.check_finite and not np.all(np.isfinite(b.out)):
+        if not np.all(np.isfinite(b.out)):
             raise NumericsError(f"non-finite value produced by {first.op} node {first.nid} at depth {first.depth}")
         for node, row in zip(group, b.out):
             node.value = row

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .engine import EngineError, Law, Reflexivity, Rewrite, declare_domain, start_session
+from .engine import BadTactic, EngineError, declare_domain, parse_tactic, start_session, tactic_text
 from .models import (
     Classifier,
     ModelError,
@@ -209,14 +209,6 @@ def _subset(records, states, manifest, subset: str, seed: int):
     return filter_states(states, chosen)
 
 
-def _tactic_text(tactic) -> str:
-    if isinstance(tactic, Rewrite):
-        return f"rewrite {tactic.pos} {tactic.law.value}"
-    if isinstance(tactic, Reflexivity):
-        return "reflexivity"
-    return getattr(tactic, "name", repr(tactic))
-
-
 def cmd_prove(args) -> int:
     clf = Classifier.load(args.ckpt)
     store = TermStore()
@@ -230,7 +222,7 @@ def cmd_prove(args) -> int:
         "outcome": result.outcome,
         "fallback_uses": result.fallback_uses,
         "steps": [
-            {"state": s.state, "tactic": _tactic_text(s.tactic), "accepted": s.accepted}
+            {"state": s.state, "tactic": tactic_text(s.tactic), "accepted": s.accepted}
             for s in result.steps
         ],
     }
@@ -248,27 +240,17 @@ def _interactive(store, statement, predictor) -> int:
         print(f"state {sid}  goal {print_sexpr(store, state.goal)}")
         suggestion = predictor.propose(store, state.ctx, state.goal)
         try:
-            line = input(f"[{_tactic_text(suggestion)}]> ").strip()
+            line = input(f"[{tactic_text(suggestion)}]> ").strip()
         except EOFError:
             print()
             return 1
         if line == "quit":
             return 1
-        if not line:
-            tactic = suggestion
-        else:
-            words = line.split()
-            if words[0] == "reflexivity" and len(words) == 1:
-                tactic = Reflexivity()
-            elif words[0] == "rewrite" and len(words) == 3 and words[2] in ("left", "right"):
-                try:
-                    tactic = Rewrite(int(words[1]), Law(words[2]))
-                except ValueError:
-                    print("bad position")
-                    continue
-            else:
-                print("unrecognized tactic")
-                continue
+        try:
+            tactic = parse_tactic(line) if line else suggestion
+        except BadTactic as exc:
+            print(f"unrecognized tactic: {exc}")
+            continue
         try:
             session.apply_tactic(sid, tactic)
         except EngineError as exc:

@@ -6,16 +6,19 @@ operator application on the left-hand side using a left or right identity
 law, and Reflexivity closes a goal whose two sides are the same term. Closing
 an edge creates a fresh final child state, so final states never have
 outgoing edges and the number of edges below a state measures the remaining
-proof work.
+proof work. A session logs each edge once, as a trace record.
+
+`tactic_text` and `parse_tactic` are the only printer and parser of the
+primitive tactics' text form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .terms import App, Const, Prod, TermId, TermStore, Var, op_positions, replace_at
-from .traces import TacticArg, TacticCall, TraceRecord
+from .traces import TacticArg, TacticCall, TraceRecord, record_steps_below
 
 # Canonical symbols of the rewrite domain. `f` is the binary operator, `e`
 # its left identity, `m` its right identity, `G` the carrier, `eq` equality.
@@ -107,28 +110,41 @@ class ReplayMismatch(EngineError):
     code = "ReplayMismatch"
 
 
-Edge = tuple[int, Tactic, tuple[int, ...]]
+class BadTactic(EngineError):
+    code = "BadArgument"
 
 
-@dataclass
-class ProofTree:
-    nodes: dict[int, ProofState]
-    root: int
-    finals: set[int]
-    # Edges grow only through add_edge, which keeps the parent index in step.
-    edges: list[Edge] = field(default_factory=list, init=False)
-    _edges_from: dict[int, list[Edge]] = field(default_factory=dict, init=False, repr=False, compare=False)
+def tactic_text(tactic: Rewrite | Reflexivity) -> str:
+    """The one text form of a primitive tactic, read back by parse_tactic."""
+    if isinstance(tactic, Reflexivity):
+        return "reflexivity"
+    return f"rewrite {tactic.pos} {tactic.law.value}"
 
-    def add_edge(self, parent: int, tactic: Tactic, children: tuple[int, ...]) -> None:
-        edge = (parent, tactic, children)
-        self.edges.append(edge)
-        self._edges_from.setdefault(parent, []).append(edge)
 
-    def children_of(self, sid: int) -> list[int]:
-        return [child for _, _, children in self._edges_from.get(sid, ()) for child in children]
+def parse_tactic(text: str) -> Rewrite | Reflexivity:
+    """`rewrite <pos> <left|right>` or `reflexivity`; raises BadTactic otherwise."""
+    words = text.split()
+    if words == ["reflexivity"]:
+        return Reflexivity()
+    if len(words) != 3 or words[0] != "rewrite":
+        raise BadTactic(f"expected 'rewrite <pos> <left|right>' or 'reflexivity', got {text.strip()!r}")
+    try:
+        pos = int(words[1])
+    except ValueError:
+        raise BadTactic(f"position {words[1]!r} is not an integer") from None
+    if words[2] not in ("left", "right"):
+        raise BadTactic(f"law {words[2]!r} is not left or right")
+    return Rewrite(pos, Law(words[2]))
 
-    def edges_from(self, sid: int) -> list[Edge]:
-        return list(self._edges_from.get(sid, ()))
+
+def goal_sides(store: TermStore, goal: TermId) -> tuple[TermId, TermId]:
+    """(lhs, rhs) of an `eq` goal; raises PatternMismatch on any other goal."""
+    term = store.term(goal)
+    if isinstance(term, App) and len(term.args) == 2:
+        head = store.term(term.head)
+        if isinstance(head, Const) and head.symbol == EQ_SYMBOL:
+            return term.args[0][0], term.args[1][0]
+    raise PatternMismatch("goal is not an equality")
 
 
 def rewrite_lhs(store: TermStore, lhs: TermId, tactic: Rewrite) -> TermId:
@@ -157,26 +173,6 @@ def rewrite_lhs(store: TermStore, lhs: TermId, tactic: Rewrite) -> TermId:
     return replace_at(store, lhs, tactic.pos, kept, OP_SYMBOL)
 
 
-def steps_below(tree: ProofTree, sid: int) -> int:
-    """Edges in the completed subtree rooted at `sid`.
-
-    Raises if any descendant is still open (a leaf not marked final).
-    """
-    if sid not in tree.nodes:
-        raise EngineError(f"unknown state {sid}")
-    count = 0
-    stack = [sid]
-    while stack:
-        cur = stack.pop()
-        below = tree.edges_from(cur)
-        if not below and cur not in tree.finals:
-            raise EngineError(f"subtree below {sid} is incomplete: state {cur} is open")
-        for _, _, children in below:
-            count += 1
-            stack.extend(children)
-    return count
-
-
 class ProofSession:
     """Single-theorem proof-in-progress with its trace log."""
 
@@ -192,8 +188,9 @@ class ProofSession:
         self.store = store
         self.lemma = lemma
         root = ProofState(ctx=(), goal=theorem, sid=0)
-        self.tree = ProofTree(nodes={0: root}, root=0, finals=set())
-        self.records: list[TraceRecord] = []
+        self.states: dict[int, ProofState] = {0: root}
+        self.finals: set[int] = set()
+        self.records: list[TraceRecord] = []  # one per edge, in application order
         self._parent: dict[int, int] = {}  # child state -> state its edge leaves
         self._next_id = 1
         self.open_goals: list[int] = [0]
@@ -209,7 +206,7 @@ class ProofSession:
         if ctx:
             intro = ProofState(ctx=tuple(ctx), goal=body, sid=self._fresh())
             call = intro_call or TacticCall("intro", "intro")
-            self._attach(0, Generic(call.raw, call.args), call, (intro,), close=False)
+            self._attach(0, call, (intro,), close=False)
 
     # -- internals -----------------------------------------------------------
 
@@ -221,17 +218,15 @@ class ProofSession:
     def _attach(
         self,
         parent: int,
-        tactic: Tactic,
         call: TacticCall,
         children: tuple[ProofState, ...],
         close: bool,
     ) -> list[int]:
-        state = self.tree.nodes[parent]
+        state = self.states[parent]
         ids = tuple(c.sid for c in children)
         for child in children:
-            self.tree.nodes[child.sid] = child
+            self.states[child.sid] = child
             self._parent[child.sid] = parent
-        self.tree.add_edge(parent, tactic, ids)
         self.records.append(
             TraceRecord(
                 lemma=self.lemma,
@@ -243,40 +238,31 @@ class ProofSession:
                 children=ids,
             )
         )
-        at = self.open_goals.index(parent) if parent in self.open_goals else len(self.open_goals)
-        if parent in self.open_goals:
-            self.open_goals.remove(parent)
+        at = self.open_goals.index(parent)
         if close:
-            self.tree.finals.update(ids)
+            del self.open_goals[at]
+            self.finals.update(ids)
         else:
-            self.open_goals[at:at] = list(ids)
+            self.open_goals[at : at + 1] = ids
         return list(ids)
 
     # -- queries --------------------------------------------------------------
 
     def state(self, sid: int) -> ProofState:
-        if sid not in self.tree.nodes:
+        if sid not in self.states:
             raise EngineError(f"unknown state {sid}")
-        return self.tree.nodes[sid]
+        return self.states[sid]
 
     def is_final(self, sid: int) -> bool:
         """True iff the goal is an equality whose sides are the same term."""
-        goal = self.store.term(self.state(sid).goal)
-        if not isinstance(goal, App) or len(goal.args) != 2:
+        try:
+            lhs, rhs = self.goal_sides(sid)
+        except PatternMismatch:
             return False
-        head = self.store.term(goal.head)
-        if not (isinstance(head, Const) and head.symbol == EQ_SYMBOL):
-            return False
-        return goal.args[0][0] == goal.args[1][0]
+        return lhs == rhs
 
     def goal_sides(self, sid: int) -> tuple[TermId, TermId]:
-        goal = self.store.term(self.state(sid).goal)
-        if not isinstance(goal, App) or len(goal.args) != 2:
-            raise PatternMismatch("goal is not an equality")
-        head = self.store.term(goal.head)
-        if not (isinstance(head, Const) and head.symbol == EQ_SYMBOL):
-            raise PatternMismatch("goal is not an equality")
-        return goal.args[0][0], goal.args[1][0]
+        return goal_sides(self.store, self.state(sid).goal)
 
     @property
     def completed(self) -> bool:
@@ -285,7 +271,7 @@ class ProofSession:
     # -- tactics ----------------------------------------------------------------
 
     def apply_tactic(self, sid: int, tactic: Tactic) -> list[int] | _Closed:
-        if sid not in self.tree.nodes:
+        if sid not in self.states:
             raise EngineError(f"unknown state {sid}")
         if sid not in self.open_goals:
             raise StateClosed(f"state {sid} is not open")
@@ -304,20 +290,16 @@ class ProofSession:
         assert isinstance(goal_app, App)
         new_goal = store.app(goal_app.head, [(new_lhs, goal_app.args[0][1]), goal_app.args[1]])
         child = ProofState(ctx=state.ctx, goal=new_goal, sid=self._fresh())
-        call = TacticCall(
-            class_name="rewrite",
-            raw=f"rewrite {tactic.pos} {tactic.law.value}",
-            args=(TacticArg("global", tactic.law.lemma_name),),
-        )
-        return self._attach(sid, tactic, call, (child,), close=False)
+        call = TacticCall("rewrite", tactic_text(tactic), (TacticArg("global", tactic.law.lemma_name),))
+        return self._attach(sid, call, (child,), close=False)
 
     def _apply_reflexivity(self, sid: int) -> _Closed:
         if not self.is_final(sid):
             raise NotTrivial(f"goal of state {sid} is not a trivial equality")
         state = self.state(sid)
         final = ProofState(ctx=state.ctx, goal=state.goal, sid=self._fresh())
-        call = TacticCall(class_name="reflexivity", raw="reflexivity")
-        self._attach(sid, Reflexivity(), call, (final,), close=True)
+        call = TacticCall("reflexivity", tactic_text(Reflexivity()))
+        self._attach(sid, call, (final,), close=True)
         return CLOSED
 
     def apply_generic(
@@ -331,18 +313,17 @@ class ProofSession:
         `children` lists (ctx, goal) pairs for the new open states; None means
         the edge closes the state, creating a final child that copies it.
         """
-        if sid not in self.tree.nodes:
+        if sid not in self.states:
             raise EngineError(f"unknown state {sid}")
         if sid not in self.open_goals:
             raise StateClosed(f"state {sid} is not open")
-        tactic = Generic(call.raw, call.args)
         if children is None:
             state = self.state(sid)
             final = ProofState(ctx=state.ctx, goal=state.goal, sid=self._fresh())
-            self._attach(sid, tactic, call, (final,), close=True)
+            self._attach(sid, call, (final,), close=True)
             return CLOSED
         states = tuple(ProofState(ctx=ctx, goal=goal, sid=self._fresh()) for ctx, goal in children)
-        return self._attach(sid, tactic, call, states, close=False)
+        return self._attach(sid, call, states, close=False)
 
     def export_tree(self) -> list[TraceRecord]:
         """Trace records, one per edge, in application order."""
@@ -353,15 +334,28 @@ def start_session(store: TermStore, theorem: TermId, lemma: str = "lemma") -> Pr
     return ProofSession(store, theorem, lemma)
 
 
+def steps_below(session: ProofSession, sid: int) -> int:
+    """Edges in the completed subtree rooted at `sid`.
+
+    Raises if any descendant is still open.
+    """
+    session.state(sid)  # raises on an unknown state
+    for goal in session.open_goals:
+        cur: int | None = goal
+        while cur is not None:
+            if cur == sid:
+                raise EngineError(f"subtree below {sid} is incomplete: state {goal} is open")
+            cur = session._parent.get(cur)
+    return record_steps_below(session.records).get(sid, 0)
+
+
 def tactic_from_call(call: TacticCall) -> Tactic:
     if call.class_name == "rewrite":
-        parts = call.raw.split()
-        if len(parts) == 3 and parts[0] == "rewrite":
-            try:
-                return Rewrite(int(parts[1]), Law(parts[2]))
-            except ValueError:
-                pass
-        raise EngineError(f"cannot parse rewrite call {call.raw!r}")
+        tactic = parse_tactic(call.raw)
+        if not isinstance(tactic, Rewrite):
+            raise BadTactic(f"rewrite call {call.raw!r} is not a rewrite")
+        return tactic
+    # Ingested corpora record closing tactics under many raw names.
     if call.class_name == "reflexivity":
         return Reflexivity()
     return Generic(call.raw, call.args)

@@ -27,9 +27,9 @@ from .embeddings import (
     load_checkpoint,
     save_checkpoint,
 )
-from .engine import Law, Rewrite
+from .engine import Law, Rewrite, tactic_from_call, tactic_text
 from .terms import TermId, TermStore
-from .traces import DepthBins, TraceRecord, bin_depth
+from .traces import DepthBins, TraceRecord, bin_depth, record_steps_below
 
 INFERENCE_SEED = 0
 
@@ -77,9 +77,7 @@ def decode_toy_tactic(class_id: int) -> Rewrite:
 
 
 def toy_tactic_space() -> ClassSpace:
-    names = tuple(
-        f"rewrite {p} {law.value}" for p in range(1, TOY_MAX_POS + 1) for law in _LAW_ORDER
-    )
+    names = tuple(tactic_text(decode_toy_tactic(i)) for i in range(1, TOY_MAX_POS * 2 + 1))
     return ClassSpace("tac", names)
 
 
@@ -135,40 +133,11 @@ def group_by_lemma(records: list[TraceRecord]) -> dict[str, list[TraceRecord]]:
     return out
 
 
-def _steps_below(records: list[TraceRecord]) -> dict[int, int]:
-    """Edge count below each recorded state of one lemma."""
-    by_state: dict[int, TraceRecord] = {}
-    for rec in records:
-        if rec.state_id in by_state:
-            raise ModelError(f"duplicate state {rec.state_id} in lemma {rec.lemma!r}")
-        by_state[rec.state_id] = rec
-
-    # Post-order walk with an explicit stack: proofs can be thousands of steps deep.
-    depth: dict[int, int] = {}
-    open_states: set[int] = set()
-    for root in by_state:
-        stack = [(root, False)]
-        while stack:
-            sid, expanded = stack.pop()
-            rec = by_state.get(sid)
-            if expanded:
-                depth[sid] = 1 + sum(depth[child] for child in rec.children)
-            elif sid in depth or rec is None:
-                depth.setdefault(sid, 0)
-            elif sid in open_states:
-                raise ModelError(f"state {sid} of lemma {rec.lemma!r} is its own descendant")
-            else:
-                open_states.add(sid)
-                stack.append((sid, True))
-                stack.extend((child, False) for child in rec.children)
-    return {sid: depth[sid] for sid in by_state}
-
-
 def pos_eval_states(records: list[TraceRecord], bins: DepthBins | None = None) -> list[LabeledState]:
     bins = bins or DepthBins()
     out: list[LabeledState] = []
     for lemma, recs in group_by_lemma(records).items():
-        depths = _steps_below(recs)
+        depths = record_steps_below(recs)
         for rec in recs:
             out.append(
                 LabeledState(lemma, rec.ctx, rec.goal, label=bin_depth(depths[rec.state_id], bins))
@@ -181,10 +150,8 @@ def toy_tactic_states(records: list[TraceRecord]) -> list[LabeledState]:
     for rec in records:
         if rec.tactic.class_name != "rewrite":
             continue
-        parts = rec.tactic.raw.split()
-        if len(parts) != 3:
-            raise ModelError(f"unparseable rewrite call {rec.tactic.raw!r}")
-        label = encode_toy_tactic(int(parts[1]), Law(parts[2]))
+        tactic = tactic_from_call(rec.tactic)
+        label = encode_toy_tactic(tactic.pos, tactic.law)
         out.append(LabeledState(rec.lemma, rec.ctx, rec.goal, label=label))
     return out
 

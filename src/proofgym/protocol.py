@@ -20,12 +20,11 @@ from typing import IO
 
 from .engine import (
     EngineError,
-    Law,
     ProofSession,
     Reflexivity,
-    Rewrite,
     Tactic,
     declare_domain,
+    parse_tactic,
     start_session,
 )
 from .sexpr import parse_sexpr, print_sexpr
@@ -116,29 +115,9 @@ class ProtocolServer:
         self.tactics = []
         return self._state_line(with_ctx=False)
 
-    def _parse_tactic(self, rest: str) -> Tactic:
-        words = rest.split()
-        if not words:
-            raise ProtocolError("BadArgument", "TACTIC needs a tactic")
-        if words[0] == "reflexivity":
-            if len(words) != 1:
-                raise ProtocolError("BadArgument", "reflexivity takes no arguments")
-            return Reflexivity()
-        if words[0] == "rewrite":
-            if len(words) != 3:
-                raise ProtocolError("BadArgument", "usage: TACTIC rewrite <pos> <left|right>")
-            try:
-                pos = int(words[1])
-            except ValueError:
-                raise ProtocolError("BadArgument", f"position {words[1]!r} is not an integer") from None
-            if words[2] not in ("left", "right"):
-                raise ProtocolError("BadArgument", f"law {words[2]!r} is not left or right")
-            return Rewrite(pos, Law(words[2]))
-        raise ProtocolError("BadArgument", f"unsupported tactic {words[0]!r}")
-
     def _cmd_tactic(self, rest: str) -> str:
         session = self._need_session()
-        tactic = self._parse_tactic(rest)
+        tactic = parse_tactic(rest)
         sid = self._current_sid()
         result = session.apply_tactic(sid, tactic)
         self.tactics.append(tactic)

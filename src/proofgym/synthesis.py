@@ -16,16 +16,18 @@ from typing import Protocol
 
 from .engine import (
     EngineError,
+    PatternMismatch,
     ProofSession,
     Reflexivity,
     Rewrite,
     Tactic,
+    goal_sides,
     rewrite_lhs,
     start_session,
 )
 from .models import Classifier, LabeledState, ModelError, decode_toy_tactic
 from .rewrite import TheoremSpec, completable, oracle_proof
-from .terms import App, Prod, TermId, TermStore
+from .terms import Prod, TermId, TermStore
 
 
 class SynthesisError(Exception):
@@ -50,7 +52,7 @@ class ModelPredictor:
         self.classifier = classifier
 
     def propose(self, store: TermStore, ctx, goal) -> Tactic:
-        lhs, rhs = _goal_sides(store, goal)
+        lhs, rhs = goal_sides(store, goal)
         if lhs == rhs:
             return Reflexivity()
         probs = self.classifier.predict(store, LabeledState("", ctx, goal))
@@ -61,15 +63,8 @@ class OraclePredictor:
     """Always proposes the oracle's next step."""
 
     def propose(self, store: TermStore, ctx, goal) -> Tactic:
-        lhs, rhs = _goal_sides(store, goal)
+        lhs, rhs = goal_sides(store, goal)
         return oracle_proof(store, lhs, rhs)[0]
-
-
-def _goal_sides(store: TermStore, goal: TermId) -> tuple[TermId, TermId]:
-    term = store.term(goal)
-    if not isinstance(term, App) or len(term.args) != 2:
-        raise SynthesisError("goal is not an equality")
-    return term.args[0][0], term.args[1][0]
 
 
 @dataclass(frozen=True)
@@ -199,10 +194,11 @@ def theorems_from_records(
     for name in names:
         statement = roots[name]
         term = store.term(statement)
-        body = store.term(term.body) if isinstance(term, Prod) else store.term(statement)
-        if not isinstance(body, App) or len(body.args) != 2:
-            raise SynthesisError(f"lemma {name!r} is not an equality statement")
-        out.append(TheoremSpec(name, body.args[0][0], statement, proof=()))
+        try:
+            lhs, _ = goal_sides(store, term.body if isinstance(term, Prod) else statement)
+        except PatternMismatch:
+            raise SynthesisError(f"lemma {name!r} is not an equality statement") from None
+        out.append(TheoremSpec(name, lhs, statement, proof=()))
     return out
 
 

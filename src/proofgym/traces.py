@@ -143,15 +143,26 @@ def _record_from_json(
     try:
         lemma = obj["lemma"]
         state_id = obj["state_id"]
+        parent_id = obj["parent_id"]
+        children = tuple(obj["children"])
+        tac = obj["tactic"]
+        # bool is an int subclass, so compare exact types
+        if (
+            type(state_id) is not int
+            or (parent_id is not None and type(parent_id) is not int)
+            or not all(type(child) is int for child in children)
+        ):
+            raise DatasetError(f"line {lineno}: state ids must be integers")
+        if not (type(lemma) is str and type(tac["class"]) is str and type(tac["raw"]) is str):
+            raise DatasetError(f"line {lineno}: lemma and tactic names must be strings")
         key = (lemma, state_id)
         if key in seen:
             raise DatasetError(f"line {lineno}: duplicate state {state_id} in lemma {lemma!r}")
         seen.add(key)
-        tac = obj["tactic"]
         return TraceRecord(
             lemma=lemma,
             state_id=state_id,
-            parent_id=obj["parent_id"],
+            parent_id=parent_id,
             ctx=tuple((name, ref(fid)) for name, fid in obj["ctx"]),
             goal=ref(obj["goal"]),
             tactic=TacticCall(
@@ -159,10 +170,41 @@ def _record_from_json(
                 raw=tac["raw"],
                 args=tuple(TacticArg(a["kind"], a["value"]) for a in tac["args"]),
             ),
-            children=tuple(obj["children"]),
+            children=children,
         )
     except KeyError as exc:
         raise DatasetError(f"line {lineno}: missing record key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"line {lineno}: malformed record: {exc}") from None
+
+
+def record_steps_below(records: list[TraceRecord]) -> dict[int, int]:
+    """Edge count below each recorded state of one lemma."""
+    by_state: dict[int, TraceRecord] = {}
+    for rec in records:
+        if rec.state_id in by_state:
+            raise DatasetError(f"duplicate state {rec.state_id} in lemma {rec.lemma!r}")
+        by_state[rec.state_id] = rec
+
+    # Post-order walk with an explicit stack: proofs can be thousands of steps deep.
+    depth: dict[int, int] = {}
+    open_states: set[int] = set()
+    for root in by_state:
+        stack = [(root, False)]
+        while stack:
+            sid, expanded = stack.pop()
+            rec = by_state.get(sid)
+            if expanded:
+                depth[sid] = 1 + sum(depth[child] for child in rec.children)
+            elif sid in depth or rec is None:
+                depth.setdefault(sid, 0)
+            elif sid in open_states:
+                raise DatasetError(f"state {sid} of lemma {rec.lemma!r} is its own descendant")
+            else:
+                open_states.add(sid)
+                stack.append((sid, True))
+                stack.extend((child, False) for child in rec.children)
+    return {sid: depth[sid] for sid in by_state}
 
 
 # -- lemma-level splits --------------------------------------------------------

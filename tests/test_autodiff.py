@@ -293,10 +293,6 @@ def test_nonfinite_detection():
     s = g.vsum(v)
     with pytest.raises(NumericsError):
         run_forward(g)
-    g2 = CompGraph(check_finite=False)
-    s2 = g2.vsum(g2.const(np.array([1.0, np.inf])))
-    run_forward(g2)
-    assert np.isinf(g2.nodes[s2].value)
 
 
 # -- batching ------------------------------------------------------------------------

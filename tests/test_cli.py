@@ -111,6 +111,35 @@ def test_stats_prints_both_tables(toy_file):
         assert re.search(rf"^{row}\t\d+$", out, flags=re.M), row
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rec: [1, 2],
+        lambda rec: {**rec, "children": 7},
+        lambda rec: {**rec, "ctx": [5]},
+        lambda rec: {**rec, "ctx": [["b", 0, 1]]},
+        lambda rec: {**rec, "state_id": "zero"},
+        lambda rec: {**rec, "state_id": True},
+        lambda rec: {**rec, "parent_id": 0.5},
+        lambda rec: {**rec, "children": ["1"]},
+        lambda rec: {**rec, "lemma": 5},
+        lambda rec: {**rec, "tactic": {**rec["tactic"], "raw": 5}},
+    ],
+    ids=["list", "int-children", "int-ctx-entry", "long-ctx-entry", "str-state", "bool-state",
+         "float-parent", "str-child", "int-lemma", "int-raw"],
+)
+def test_stats_rejects_a_malformed_record(ws, toy_file, edit):
+    with open(toy_file, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    n = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[n] = json.dumps(edit(json.loads(lines[n])))
+    bad = ws / "malformed.ds"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run(["stats", "--in", str(bad)])
+    assert code == 2
+    assert err.startswith(f"error: line {n + 1}: ")
+
+
 def test_split_reports_disjoint_lemma_sets(toy_file):
     code, out, _ = run(["split", "--in", toy_file, "--seed", "3"])
     assert code == 0
@@ -298,7 +327,7 @@ def test_prove_interactive_reprompts_on_garbage(tac_ckpt, monkeypatch):
     code, out, _ = run(["prove", "--ckpt", path, "--theorem", TRIVIAL, "--interactive"])
     assert code == 0
     assert "unrecognized tactic" in out
-    assert "bad position" in out
+    assert "is not an integer" in out
 
 
 # -- bench / serve ---------------------------------------------------------------

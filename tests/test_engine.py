@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from proofgym.engine import (
     CLOSED,
+    BadTactic,
     EngineError,
     InvalidPosition,
     Law,
@@ -13,17 +16,20 @@ from proofgym.engine import (
     Rewrite,
     StateClosed,
     declare_domain,
+    parse_tactic,
     replay_trace,
     rewrite_lhs,
     start_session,
     steps_below,
     tactic_from_call,
+    tactic_text,
 )
+from proofgym.models import TOY_MAX_POS, decode_toy_tactic, group_by_lemma, toy_tactic_space
 from proofgym.protocol import ProtocolServer
 from proofgym.rewrite import gen_expression, oracle_proof, statement_for
 from proofgym.sexpr import parse_sexpr, print_sexpr
 from proofgym.terms import TermStore
-from proofgym.traces import TacticCall
+from proofgym.traces import TacticCall, record_steps_below
 
 
 @pytest.fixture
@@ -133,12 +139,12 @@ def test_reflexivity_closes_with_fresh_final_child(store):
     result = session.apply_tactic(2, Reflexivity())
     assert result is CLOSED
     assert session.completed
-    assert session.tree.finals == {3}
+    assert session.finals == {3}
     # final child copies its parent
     assert session.state(3).goal == session.state(2).goal
     assert session.state(3).ctx == session.state(2).ctx
     # finals have no outgoing edges
-    assert session.tree.edges_from(3) == []
+    assert all(rec.state_id != 3 for rec in session.records)
 
 
 def test_reflexivity_requires_trivial_goal(store):
@@ -168,33 +174,59 @@ def test_is_final_requires_identical_sides(store):
     assert session.is_final(2)
 
 
-def test_steps_below_examples(store):
-    import random
-
-    rng = random.Random(3)
-    expr = gen_expression(store, rng, 10)
-    session = start_session(store, statement_for(store, expr), lemma="len10")
+def _oracle_session(store, length):
+    expr = gen_expression(store, random.Random(length), length)
+    session = start_session(store, statement_for(store, expr), lemma=f"len{length}")
     sid = 1
     for tactic in oracle_proof(store, expr):
         result = session.apply_tactic(sid, tactic)
         if isinstance(result, list):
             sid = result[0]
+    return session
+
+
+def test_steps_below_examples(store):
+    session = _oracle_session(store, 10)
     assert session.completed
     # final state: nothing below
-    final = next(iter(session.tree.finals))
-    assert steps_below(session.tree, final) == 0
+    final = next(iter(session.finals))
+    assert steps_below(session, final) == 0
     # post-intro state of a length-10 proof: 9 rewrites + 1 closing edge
-    assert steps_below(session.tree, 1) == 10
-    assert steps_below(session.tree, 0) == 11
+    assert steps_below(session, 1) == 10
+    assert steps_below(session, 0) == 11
 
 
 def test_steps_below_incomplete_raises(store):
     session = start_session(store, statement(store, RIGHT_ID_THM))
     with pytest.raises(EngineError):
-        steps_below(session.tree, 1)
+        steps_below(session, 1)
+    session.apply_tactic(1, Rewrite(1, Law.RIGHT))
+    # state 2 is open below both 1 and 0
+    for sid in (0, 1, 2):
+        with pytest.raises(EngineError, match="incomplete"):
+            steps_below(session, sid)
+    with pytest.raises(EngineError, match="unknown"):
+        steps_below(session, 9)
 
 
-def test_edge_index_matches_full_scan():
+@pytest.mark.parametrize("length", [4, 7, 10, 14])
+def test_steps_below_matches_the_record_count(store, length):
+    session = _oracle_session(store, length)
+    below = record_steps_below(session.records)
+    assert all(steps_below(session, rec.state_id) == below[rec.state_id] for rec in session.records)
+    assert all(steps_below(session, sid) == 0 for sid in session.finals)
+
+
+def test_steps_below_matches_the_record_count_on_a_generic_corpus(store):
+    from helpers import make_generic_corpus
+
+    for records in group_by_lemma(make_generic_corpus(store, n_lemmas=6)).values():
+        session = replay_trace(store, records)
+        below = record_steps_below(session.records)
+        assert [steps_below(session, rec.state_id) for rec in records] == [below[rec.state_id] for rec in records]
+
+
+def test_branching_session_after_undo_logs_every_edge():
     # UNDO replays the kept tactics into a fresh session; a generic edge then
     # branches into two open states, closed one by rewriting, one by grafting.
     server = ProtocolServer()
@@ -211,13 +243,11 @@ def test_edge_index_matches_full_scan():
     session.apply_generic(right, TacticCall("auto", "auto"), None)
     assert session.completed
 
-    tree = session.tree
-    for sid in [*tree.nodes, max(tree.nodes) + 1]:
-        scanned = [edge for edge in tree.edges if edge[0] == sid]
-        assert tree.edges_from(sid) == scanned, sid
-        assert tree.children_of(sid) == [child for _, _, children in scanned for child in children], sid
-    assert len(tree.children_of(2)) == 2
-    assert steps_below(tree, 0) == len(tree.edges) == 6
+    assert [rec.state_id for rec in session.records] == [0, 1, 2, left, done, right]
+    assert session.records[2].children == (left, right)
+    assert len(session.finals) == 2 and session.finals.isdisjoint(r.state_id for r in session.records)
+    assert steps_below(session, 0) == len(session.records) == 6
+    assert (steps_below(session, 2), steps_below(session, left), steps_below(session, right)) == (4, 2, 1)
 
 
 def test_rewrite_records(store):
@@ -248,6 +278,26 @@ def test_tactic_from_call_round_trip(store):
     assert tactic_from_call(TacticCall("reflexivity", "reflexivity")) == Reflexivity()
     generic = tactic_from_call(TacticCall("intro", "intros a b"))
     assert generic.name == "intros a b"
+    # ingested corpora close goals under any raw name
+    assert tactic_from_call(TacticCall("reflexivity", "done")) == Reflexivity()
+    with pytest.raises(BadTactic):
+        tactic_from_call(TacticCall("rewrite", "reflexivity"))
+
+
+def test_tactic_text_round_trips_through_the_parser():
+    toy = [decode_toy_tactic(i) for i in range(1, TOY_MAX_POS * 2 + 1)]
+    for tactic in [*toy, Reflexivity()]:
+        assert parse_tactic(tactic_text(tactic)) == tactic
+    assert list(toy_tactic_space().names) == [tactic_text(t) for t in toy]
+
+
+@pytest.mark.parametrize(
+    "text", ["", "rewrite one left", "rewrite 1 sideways", "rewrite 1", "reflexivity now", "induction"]
+)
+def test_parse_tactic_rejects_malformed_text(text):
+    with pytest.raises(BadTactic) as err:
+        parse_tactic(text)
+    assert err.value.code == "BadArgument"
 
 
 def test_replay_trace_full_proof(store):

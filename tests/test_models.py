@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import make_generic_corpus
-from proofgym import models
 from proofgym.engine import Law, Rewrite, declare_domain
 from proofgym.models import (
     TOY_MAX_POS,
@@ -40,7 +39,7 @@ from proofgym.models import (
 from proofgym.embeddings import save_checkpoint
 from proofgym.rewrite import DatasetSpec, gen_dataset_records
 from proofgym.terms import TermStore
-from proofgym.traces import DepthBins, TacticCall, TraceRecord, bin_depth
+from proofgym.traces import DatasetError, DepthBins, TacticCall, TraceRecord, bin_depth, record_steps_below
 
 SMALL = TrainConfig(dim=16, batch_size=8, lr=0.01, max_epochs=4, patience=2, seed=0)
 
@@ -138,7 +137,7 @@ def test_steps_below_matches_recursive_reference(store, length):
     records, _ = gen_dataset_records(store, DatasetSpec(n_train=8, n_test=2, length=length, seed=length))
     records += make_generic_corpus(store, n_lemmas=3)
     for recs in group_by_lemma(records).values():
-        assert models._steps_below(recs) == _recursive_steps_below(recs)
+        assert record_steps_below(recs) == _recursive_steps_below(recs)
 
 
 def _chain(store, n, close=True):
@@ -159,7 +158,7 @@ def test_pos_eval_labels_on_a_chain_deeper_than_the_recursion_limit(store):
 
 
 def test_steps_below_rejects_a_cycle(store):
-    with pytest.raises(ModelError, match="own descendant"):
+    with pytest.raises(DatasetError, match="own descendant"):
         pos_eval_states(_chain(store, 50, close=False))
 
 
