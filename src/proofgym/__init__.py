@@ -43,7 +43,6 @@ from .rewrite import (
 )
 from .traces import (
     DatasetError,
-    DepthBins,
     TacticArg,
     TacticCall,
     TraceRecord,
@@ -81,7 +80,6 @@ __all__ = [
     "Const",
     "DatasetError",
     "DatasetSpec",
-    "DepthBins",
     "EmbedConfig",
     "EmbedParams",
     "EngineError",

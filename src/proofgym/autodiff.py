@@ -13,10 +13,10 @@ one node whose inputs are its gate weights, then `x` and the children's
 states, so a bucket of cell steps costs a few stacked matmuls instead of a
 dozen primitive buckets.
 
-Graphs are re-runnable: parameter nodes read their Tensor's current value on
-every forward pass, and `reseed` refreshes the per-pass constants (sampled
-vectors, dropout masks) in place, so a built graph can serve many training
-steps.
+A graph serves one pass: a training step or an inference chunk builds a
+fresh one. Its dropout seed is fixed at construction, and each dropout node
+carries its rate and its (seed, ordinal) key, so the dropout kernel draws its
+masks from the node alone.
 """
 
 from __future__ import annotations
@@ -73,19 +73,15 @@ class Node:
 
 
 class CompGraph:
-    def __init__(self) -> None:
+    def __init__(self, dropout_seed: int = 0) -> None:
         self.nodes: list[Node] = []
         self.memo: dict = {}
-        self.dropout_seed = 0
-        # (nid, key suffix, dim): constants redrawn by reseed(pass_seed).
-        self.pass_constants: list[tuple[int, tuple[int, ...], int]] = []
+        self.dropout_seed = dropout_seed
         self._params: dict[str, int] = {}
-        # Dropout node -> its ordinal among dropout nodes in creation order.
-        # Masks are keyed by the ordinal, not the node id, so a graph that
-        # creates its dropout nodes in the same order draws the same masks
-        # however many other nodes it has.
-        self._dropout_ordinals: dict[int, int] = {}
-        self._masks: dict[int, np.ndarray] = {}
+        # Masks are keyed by a dropout node's ordinal among dropout nodes, not
+        # by its node id, so a graph that creates its dropout nodes in the same
+        # order draws the same masks however many other nodes it has.
+        self._dropouts = 0
         self._buckets: list[tuple[tuple, list[int]]] | None = None
         # (batched, per-group records) of the last forward pass, for backward.
         self._run: tuple[bool, list[_Group]] | None = None
@@ -122,13 +118,12 @@ class CompGraph:
         return nid
 
     def pass_const(self, pass_seed: int, suffix: tuple[int, ...], dim: int) -> int:
-        """Constant redrawn from (pass_seed, *suffix) on every reseed."""
+        """Standard-normal constant drawn from (pass_seed, *suffix), one per suffix."""
         key = ("pass_const",) + suffix
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         nid = self.const(seeded_normal((pass_seed,) + suffix, dim))
-        self.pass_constants.append((nid, suffix, dim))
         self.memo[key] = nid
         return nid
 
@@ -189,8 +184,9 @@ class CompGraph:
     def dropout(self, a: int, rate: float) -> int:
         if not (0.0 <= rate < 1.0):
             raise GraphError(f"dropout rate {rate}")
-        nid = self._add("dropout", (a,), self.nodes[a].shape, float(rate))
-        self._dropout_ordinals[nid] = len(self._dropout_ordinals)
+        key = (self.dropout_seed, self._dropouts)
+        nid = self._add("dropout", (a,), self.nodes[a].shape, (float(rate), key))
+        self._dropouts += 1
         return nid
 
     def slice(self, a: int, start: int, stop: int) -> int:
@@ -247,25 +243,6 @@ class CompGraph:
         if self.nodes[a].shape[0] == 0:
             raise GraphError("mean of empty vector")
         return self._add("mean", (a,), (1,))
-
-    # -- per-pass state -------------------------------------------------------
-
-    def reseed(self, pass_seed: int, dropout_seed: int | None = None) -> None:
-        """Redraw per-pass constants and invalidate dropout masks in place."""
-        for nid, suffix, dim in self.pass_constants:
-            self.nodes[nid].value = seeded_normal((pass_seed,) + suffix, dim)
-        if dropout_seed is not None:
-            self.dropout_seed = dropout_seed
-        self._masks.clear()
-
-    def _mask(self, node: Node) -> np.ndarray:
-        mask = self._masks.get(node.nid)
-        if mask is None:
-            rate = node.aux
-            rng = np.random.default_rng((self.dropout_seed, self._dropout_ordinals[node.nid]))
-            keep = rng.random(node.shape) >= rate
-            mask = self._masks[node.nid] = keep.astype(np.float64) / (1.0 - rate)
-        return mask
 
     # -- grouping for the batched path ----------------------------------------
 
@@ -345,8 +322,8 @@ def _stack(rows: list[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class Kernel:
-    forward: Callable  # (group, graph) -> stacked output rows; may set group.saved
-    backward: Callable  # (group, g, graph) -> (grads of ws, stacked grads of xs)
+    forward: Callable  # (group) -> stacked output rows; may set group.saved
+    backward: Callable  # (group, g) -> (grads of ws, stacked grads of xs)
     shared: int = 0  # leading inputs that are one node across a bucket
     key: Callable | None = None  # (graph, node) -> what else a bucket must share
 
@@ -363,50 +340,57 @@ def _slice_key(graph: CompGraph, node: Node) -> tuple:
     return node.aux, graph.nodes[node.inputs[0]].shape
 
 
-def _slice_backward(b: _Group, g: np.ndarray, graph: CompGraph):
+def _slice_backward(b: _Group, g: np.ndarray):
     start, stop = b.group[0].aux
-    dx = np.zeros((len(b.group),) + graph.nodes[b.group[0].inputs[0]].shape)
+    dx = np.zeros((len(b.group),) + b.nodes[b.group[0].inputs[0]].shape)
     dx[:, start:stop] = g
     return [], [dx]
 
 
-def _gather_forward(b: _Group, graph: CompGraph) -> np.ndarray:
+def _gather_forward(b: _Group) -> np.ndarray:
     return b.ws[0][np.array([n.aux for n in b.group])]
 
 
-def _gather_backward(b: _Group, g: np.ndarray, graph: CompGraph):
+def _gather_backward(b: _Group, g: np.ndarray):
     table = np.zeros(b.ws[0].shape)
     np.add.at(table, np.array([n.aux for n in b.group]), g)
     return [table], []
 
 
-def _masks(b: _Group, graph: CompGraph) -> np.ndarray:
-    return np.stack([graph._mask(n) for n in b.group])
+def _rate_key(graph: CompGraph, node: Node) -> float:
+    return node.aux[0]
+
+
+def _dropout_forward(b: _Group) -> np.ndarray:
+    rate = b.group[0].aux[0]  # the bucket key
+    keep = np.stack([np.random.default_rng(n.aux[1]).random(n.shape) >= rate for n in b.group])
+    b.saved = (keep / (1.0 - rate),)
+    return b.xs[0] * b.saved[0]
 
 
 def _labels(b: _Group) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(len(b.group)), np.array([n.aux for n in b.group])
 
 
-def _sxent_forward(b: _Group, graph: CompGraph) -> np.ndarray:
+def _sxent_forward(b: _Group) -> np.ndarray:
     z = b.xs[0]
     m = z.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
     return (lse - z[_labels(b)])[:, None]
 
 
-def _sxent_backward(b: _Group, g: np.ndarray, graph: CompGraph):
+def _sxent_backward(b: _Group, g: np.ndarray):
     p = _softmax(b.xs[0])
     p[_labels(b)] -= 1.0
     return [], [p * g]
 
 
-def _concat_backward(b: _Group, g: np.ndarray, graph: CompGraph):
+def _concat_backward(b: _Group, g: np.ndarray):
     cuts = np.cumsum([x.shape[1] for x in b.xs[:-1]])
     return [], np.split(g, cuts, axis=1)
 
 
-def _gru_forward(b: _Group, graph: CompGraph) -> np.ndarray:
+def _gru_forward(b: _Group) -> np.ndarray:
     wz, uz, bz, wr, ur, br, wh, uh, bh = b.ws
     x, h = b.xs
     z = _stable_sigmoid(x @ wz.T + h @ uz.T + bz)
@@ -416,7 +400,7 @@ def _gru_forward(b: _Group, graph: CompGraph) -> np.ndarray:
     return (-1.0 * z + 1.0) * h + z * h_bar
 
 
-def _gru_backward(b: _Group, g: np.ndarray, graph: CompGraph):
+def _gru_backward(b: _Group, g: np.ndarray):
     wz, uz, _, wr, ur, _, wh, uh, _ = b.ws
     x, h = b.xs
     z, r, h_bar = b.saved
@@ -432,14 +416,14 @@ def _gru_backward(b: _Group, g: np.ndarray, graph: CompGraph):
     return dws, [dx, dh]
 
 
-def _tanh_cell_backward(b: _Group, g: np.ndarray, graph: CompGraph):
+def _tanh_cell_backward(b: _Group, g: np.ndarray):
     w, u, _ = b.ws
     x, h = b.xs
     d = g * (1.0 - b.out**2)
     return [d.T @ x, d.T @ h, d.sum(axis=0)], [d @ w, d @ u]
 
 
-def _lstm_forward(b: _Group, graph: CompGraph) -> np.ndarray:
+def _lstm_forward(b: _Group) -> np.ndarray:
     wi, ui, bi, wo, uo, bo, wu, uu, bu, wf, uf, bf = b.ws
     x, *kids = b.xs
     hs, cs = kids[0::2], kids[1::2]
@@ -458,7 +442,7 @@ def _lstm_forward(b: _Group, graph: CompGraph) -> np.ndarray:
     return np.concatenate([o * tc, c], axis=1)
 
 
-def _lstm_backward(b: _Group, g: np.ndarray, graph: CompGraph):
+def _lstm_backward(b: _Group, g: np.ndarray):
     wi, ui, _, wo, uo, _, wu, uu, _, wf, uf, _ = b.ws
     i, o, u, tc, *fs = b.saved
     dim = i.shape[1]
@@ -484,37 +468,35 @@ def _lstm_backward(b: _Group, g: np.ndarray, graph: CompGraph):
 
 
 KERNELS: dict[str, Kernel] = {
-    "matmul": Kernel(lambda b, _: b.xs[0] @ b.ws[0].T, lambda b, g, _: ([g.T @ b.xs[0]], [g @ b.ws[0]]), shared=1),
-    "add": Kernel(lambda b, _: b.xs[0] + b.xs[1], lambda b, g, _: ([], [g, g])),
-    "mul": Kernel(lambda b, _: b.xs[0] * b.xs[1], lambda b, g, _: ([], [g * b.xs[1], g * b.xs[0]])),
+    "matmul": Kernel(lambda b: b.xs[0] @ b.ws[0].T, lambda b, g: ([g.T @ b.xs[0]], [g @ b.ws[0]]), shared=1),
+    "add": Kernel(lambda b: b.xs[0] + b.xs[1], lambda b, g: ([], [g, g])),
+    "mul": Kernel(lambda b: b.xs[0] * b.xs[1], lambda b, g: ([], [g * b.xs[1], g * b.xs[0]])),
     "affine": Kernel(
-        lambda b, _: b.group[0].aux[0] * b.xs[0] + b.group[0].aux[1],
-        lambda b, g, _: ([], [b.group[0].aux[0] * g]),
+        lambda b: b.group[0].aux[0] * b.xs[0] + b.group[0].aux[1],
+        lambda b, g: ([], [b.group[0].aux[0] * g]),
         key=_aux_key,
     ),
-    "tanh": Kernel(lambda b, _: np.tanh(b.xs[0]), lambda b, g, _: ([], [g * (1.0 - b.out**2)])),
-    "sigmoid": Kernel(lambda b, _: _stable_sigmoid(b.xs[0]), lambda b, g, _: ([], [g * b.out * (1.0 - b.out)])),
-    "concat": Kernel(lambda b, _: np.concatenate(b.xs, axis=1), _concat_backward, key=_input_shapes),
+    "tanh": Kernel(lambda b: np.tanh(b.xs[0]), lambda b, g: ([], [g * (1.0 - b.out**2)])),
+    "sigmoid": Kernel(lambda b: _stable_sigmoid(b.xs[0]), lambda b, g: ([], [g * b.out * (1.0 - b.out)])),
+    "concat": Kernel(lambda b: np.concatenate(b.xs, axis=1), _concat_backward, key=_input_shapes),
     "gather": Kernel(_gather_forward, _gather_backward, shared=1),
-    "dropout": Kernel(
-        lambda b, graph: b.xs[0] * _masks(b, graph), lambda b, g, graph: ([], [g * _masks(b, graph)]), key=_aux_key
-    ),
+    "dropout": Kernel(_dropout_forward, lambda b, g: ([], [g * b.saved[0]]), key=_rate_key),
     "sxent": Kernel(_sxent_forward, _sxent_backward, key=_input_shapes),
     "sum": Kernel(
-        lambda b, _: b.xs[0].sum(axis=1, keepdims=True),
-        lambda b, g, _: ([], [np.broadcast_to(g, b.xs[0].shape)]),
+        lambda b: b.xs[0].sum(axis=1, keepdims=True),
+        lambda b, g: ([], [np.broadcast_to(g, b.xs[0].shape)]),
         key=_input_shapes,
     ),
     "mean": Kernel(
-        lambda b, _: b.xs[0].mean(axis=1, keepdims=True),
-        lambda b, g, _: ([], [np.broadcast_to(g / b.xs[0].shape[1], b.xs[0].shape)]),
+        lambda b: b.xs[0].mean(axis=1, keepdims=True),
+        lambda b, g: ([], [np.broadcast_to(g / b.xs[0].shape[1], b.xs[0].shape)]),
         key=_input_shapes,
     ),
-    "slice": Kernel(lambda b, _: b.xs[0][:, slice(*b.group[0].aux)], _slice_backward, key=_slice_key),
+    "slice": Kernel(lambda b: b.xs[0][:, slice(*b.group[0].aux)], _slice_backward, key=_slice_key),
     "gru_cell": Kernel(_gru_forward, _gru_backward, shared=9),
     "treelstm_cell": Kernel(_lstm_forward, _lstm_backward, shared=12, key=_input_shapes),
     "tanh_cell": Kernel(
-        lambda b, _: np.tanh(b.xs[0] @ b.ws[0].T + b.xs[1] @ b.ws[1].T + b.ws[2]), _tanh_cell_backward, shared=3
+        lambda b: np.tanh(b.xs[0] @ b.ws[0].T + b.xs[1] @ b.ws[1].T + b.ws[2]), _tanh_cell_backward, shared=3
     ),
 }
 
@@ -541,7 +523,7 @@ def run_forward(graph: CompGraph, batched: bool = True) -> None:
         first = group[0]
         kernel = KERNELS[first.op]
         b = _Group(nodes, group, kernel.shared)
-        b.out = kernel.forward(b, graph)
+        b.out = kernel.forward(b)
         if not np.all(np.isfinite(b.out)):
             raise NumericsError(f"non-finite value produced by {first.op} node {first.nid} at depth {first.depth}")
         for node, row in zip(group, b.out):
@@ -572,7 +554,7 @@ def run_backward(graph: CompGraph, loss: int, batched: bool = True) -> dict[str,
             continue
         if len(keep) < len(b.group):
             b = _Group(nodes, [b.group[i] for i in keep], b.shared, b.out[keep], tuple(s[keep] for s in b.saved))
-        dws, dxs = KERNELS[b.group[0].op].backward(b, _stack([node.grad for node in b.group]), graph)
+        dws, dxs = KERNELS[b.group[0].op].backward(b, _stack([node.grad for node in b.group]))
         for nid, d in zip(b.group[0].inputs, dws):
             _acc(nodes[nid], d)
         for i, node in enumerate(b.group):

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 
+from .embeddings import CELLS
 from .engine import BadTactic, EngineError, declare_domain, parse_tactic, start_session, tactic_text
 from .models import (
     Classifier,
@@ -26,7 +27,7 @@ from .models import (
     train_argument_model,
     train_classifier,
 )
-from .rewrite import DatasetSpec, GenerationError, OracleError, gen_dataset_records
+from .rewrite import TEST_PREFIX, DatasetSpec, GenerationError, OracleError, gen_dataset_records
 from .sexpr import ParseError, parse_sexpr, print_sexpr
 from .synthesis import (
     ModelPredictor,
@@ -183,7 +184,7 @@ def cmd_eval(args) -> int:
     model = Classifier.load(args.ckpt)
     toy = model.space.task != "tac-generic"
     task = model.space.task if toy else "tac"
-    states, _ = states_for_task(records, task, toy=toy, eq_map=model.eq_map, bins=model.bins)
+    states, _ = states_for_task(records, task, toy=toy, eq_map=model.eq_map)
     states = _subset(records, states, manifest, args.subset, args.seed)
     if task == "arg":
         curve = pr_curve_for(model, store, states)
@@ -262,7 +263,7 @@ def _interactive(store, statement, predictor) -> int:
 def cmd_bench(args) -> int:
     clf = Classifier.load(args.ckpt)
     records, store, manifest = _read_dataset(args.infile)
-    theorems = theorems_from_records(store, records, lemma_prefix="thm_test_")
+    theorems = theorems_from_records(store, records, lemma_prefix=TEST_PREFIX)
     report = run_benchmark(store, theorems, ModelPredictor(clf))
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a dataset")
     p.add_argument("--task", choices=("pos", "tac", "arg"), required=True)
     p.add_argument("--level", choices=("kernel", "mid"), default="kernel")
-    p.add_argument("--cell", choices=("gru", "treelstm", "tanh"), default="gru")
+    p.add_argument("--cell", choices=CELLS, default="gru")
     p.add_argument("--dim", type=int, default=128)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--lr", type=float, default=0.001)

@@ -131,7 +131,10 @@ def parse_tactic(text: str) -> Rewrite | Reflexivity:
     try:
         pos = int(words[1])
     except ValueError:
-        raise BadTactic(f"position {words[1]!r} is not an integer") from None
+        pos = None
+    # accept only what tactic_text prints; int() also takes "+1", "01" and "1_0"
+    if pos is None or str(pos) != words[1]:
+        raise BadTactic(f"position {words[1]!r} is not an integer")
     if words[2] not in ("left", "right"):
         raise BadTactic(f"law {words[2]!r} is not left or right")
     return Rewrite(pos, Law(words[2]))

@@ -28,8 +28,9 @@ from .embeddings import (
     save_checkpoint,
 )
 from .engine import Law, Rewrite, tactic_from_call, tactic_text
+from .rewrite import TEST_PREFIX
 from .terms import TermId, TermStore
-from .traces import DepthBins, TraceRecord, bin_depth, record_steps_below
+from .traces import DEPTH_BOUNDS, TraceRecord, bin_depth, record_steps_below
 
 INFERENCE_SEED = 0
 
@@ -81,13 +82,8 @@ def toy_tactic_space() -> ClassSpace:
     return ClassSpace("tac", names)
 
 
-def pos_eval_space(bins: DepthBins | None = None) -> ClassSpace:
-    bins = bins or DepthBins()
-    if bins.n_classes == 3:
-        names: tuple[str, ...] = ("close", "medium", "far")
-    else:
-        names = tuple(f"bin{i}" for i in range(1, bins.n_classes + 1))
-    return ClassSpace("pos", names)
+def pos_eval_space() -> ClassSpace:
+    return ClassSpace("pos", ("close", "medium", "far"))
 
 
 def generic_tactic_space(eq_map: dict[str, str]) -> ClassSpace:
@@ -133,14 +129,13 @@ def group_by_lemma(records: list[TraceRecord]) -> dict[str, list[TraceRecord]]:
     return out
 
 
-def pos_eval_states(records: list[TraceRecord], bins: DepthBins | None = None) -> list[LabeledState]:
-    bins = bins or DepthBins()
+def pos_eval_states(records: list[TraceRecord]) -> list[LabeledState]:
     out: list[LabeledState] = []
     for lemma, recs in group_by_lemma(records).items():
         depths = record_steps_below(recs)
         for rec in recs:
             out.append(
-                LabeledState(lemma, rec.ctx, rec.goal, label=bin_depth(depths[rec.state_id], bins))
+                LabeledState(lemma, rec.ctx, rec.goal, label=bin_depth(depths[rec.state_id]))
             )
     return out
 
@@ -188,12 +183,10 @@ def states_for_task(
     task: str,
     toy: bool = True,
     eq_map: dict[str, str] | None = None,
-    bins: DepthBins | None = None,
 ) -> tuple[list[LabeledState], ClassSpace]:
     """Labeled states plus their class space."""
     if task == "pos":
-        bins = bins or DepthBins()
-        return pos_eval_states(records, bins), pos_eval_space(bins)
+        return pos_eval_states(records), pos_eval_space()
     if task == "tac":
         if toy:
             return toy_tactic_states(records), toy_tactic_space()
@@ -203,19 +196,15 @@ def states_for_task(
     raise ModelError(f"unknown task {task!r}")
 
 
-def partition_lemmas(
-    records: list[TraceRecord],
-    test_prefix: str = "thm_test_",
-    valid_fraction: float = 0.1,
-    seed: int = 0,
-) -> tuple[set[str], set[str], set[str]]:
-    """(train, valid, test) lemma names: prefix selects test, seed carves valid."""
+def partition_lemmas(records: list[TraceRecord], seed: int = 0) -> tuple[set[str], set[str], set[str]]:
+    """(train, valid, test) lemma names: the test prefix selects test, and
+    seed carves a tenth of the rest (at least one lemma) into valid."""
     names = sorted({rec.lemma for rec in records})
-    test = {n for n in names if n.startswith(test_prefix)}
+    test = {n for n in names if n.startswith(TEST_PREFIX)}
     rest = [n for n in names if n not in test]
     rng = random.Random(seed)
     rng.shuffle(rest)
-    n_valid = max(1, round(valid_fraction * len(rest))) if len(rest) > 1 else 0
+    n_valid = max(1, round(0.1 * len(rest))) if len(rest) > 1 else 0
     return set(rest[n_valid:]), set(rest[:n_valid]), test
 
 
@@ -236,7 +225,6 @@ class TrainConfig:
     max_epochs: int = 50
     patience: int = 5
     seed: int = 0
-    dropout: float | None = None
 
     def __post_init__(self) -> None:
         if self.cell not in CELLS:
@@ -286,8 +274,6 @@ class Classifier:
     head_b: Tensor
     space: ClassSpace
     level: str = "kernel"
-    bins: DepthBins | None = None
-    dropout: float | None = None
     eq_map: dict[str, str] | None = None
 
     @classmethod
@@ -296,7 +282,6 @@ class Classifier:
         store: TermStore,
         space: ClassSpace,
         cfg: TrainConfig,
-        bins: DepthBins | None = None,
         eq_map: dict[str, str] | None = None,
     ) -> "Classifier":
         embed = EmbedParams.create(list(store.symbols()), cfg.cell, cfg.dim, seed=cfg.seed)
@@ -305,7 +290,7 @@ class Classifier:
         scale = 1.0 / np.sqrt(width * cfg.dim)
         head_w = Tensor(weight, rng.uniform(-scale, scale, (space.n_classes, width * cfg.dim)))
         head_b = Tensor(bias, np.zeros(space.n_classes))
-        return cls(embed, head_w, head_b, space, cfg.level, bins, cfg.dropout, eq_map)
+        return cls(embed, head_w, head_b, space, cfg.level, eq_map)
 
     def tensors(self) -> dict[str, Tensor]:
         out = dict(self.embed.tensors)
@@ -318,7 +303,6 @@ class Classifier:
             cell=self.embed.cell,
             dim=self.embed.dim,
             drop_implicit=(self.level == "mid"),
-            dropout=self.dropout,
             train=train,
             pass_seed=pass_seed,
         )
@@ -334,42 +318,33 @@ class Classifier:
         return [self._head(graph, graph.concat([state_h, entry_h])) for entry_h in entries]
 
     def _softmax_rows(
-        self, store: TermStore, states: list[LabeledState], pass_seed: int, batched: bool, chunk: int
+        self, store: TermStore, states: list[LabeledState], batched: bool, chunk: int
     ) -> list[list[np.ndarray]]:
         """Per state, the softmax of each of its logit nodes; one graph per chunk of states."""
         out: list[list[np.ndarray]] = []
         for part in _chunks(states, chunk):
             graph = CompGraph()
-            emb = StateEmbedder(graph, self.embed, store, self.config(train=False, pass_seed=pass_seed))
+            emb = StateEmbedder(graph, self.embed, store, self.config(train=False, pass_seed=INFERENCE_SEED))
             per_state = [self._logit_nodes(graph, emb, st) for st in part]
             run_forward(graph, batched=batched)
             out.extend([_softmax(graph.nodes[nid].value) for nid in ids] for ids in per_state)
         return out
 
-    def predict_proba(
-        self,
-        store: TermStore,
-        states: list[LabeledState],
-        pass_seed: int = INFERENCE_SEED,
-        batched: bool = True,
-        chunk: int = 64,
-    ) -> np.ndarray:
+    def predict_proba(self, store: TermStore, states: list[LabeledState], batched: bool = True) -> np.ndarray:
         if _kind(self.space) != "classifier":
             raise ModelError("an argument model scores context entries, not states")
-        rows = [row for per_state in self._softmax_rows(store, states, pass_seed, batched, chunk) for row in per_state]
+        rows = [row for per_state in self._softmax_rows(store, states, batched, 64) for row in per_state]
         return np.stack(rows) if rows else np.zeros((0, self.space.n_classes))
 
     def predict(self, store: TermStore, state: LabeledState) -> np.ndarray:
         """Distribution over 1-based class ids for one state."""
         return self.predict_proba(store, [state])[0]
 
-    def scores(
-        self, store: TermStore, states: list[LabeledState], pass_seed: int = INFERENCE_SEED, chunk: int = 32
-    ) -> list[np.ndarray]:
+    def scores(self, store: TermStore, states: list[LabeledState]) -> list[np.ndarray]:
         """Per state: presence probability for each context entry."""
         if _kind(self.space) != "argument":
             raise ModelError("only an argument model scores context entries")
-        per_state = self._softmax_rows(store, states, pass_seed, True, chunk)
+        per_state = self._softmax_rows(store, states, True, 32)
         return [np.array([float(row[1]) for row in rows]) for rows in per_state]
 
     def save(self, path: str) -> None:
@@ -380,9 +355,7 @@ class Classifier:
             "cell": self.embed.cell,
             "dim": self.embed.dim,
             "level": self.level,
-            "dropout": self.dropout,
             "symbols": sorted(self.embed.symbol_index, key=self.embed.symbol_index.get),
-            "bins": list(self.bins.uppers) if self.bins else None,
             "eq_map": self.eq_map,
         }
         save_checkpoint(path, self.tensors(), meta)
@@ -397,15 +370,15 @@ class Classifier:
         embed = EmbedParams(tensors, {s: i for i, s in enumerate(meta["symbols"])}, meta["cell"], meta["dim"])
         # argument checkpoints may leave out their fixed class names
         space = ClassSpace(meta["task"], tuple(meta.get("classes", argument_space().names)))
-        bins = DepthBins(tuple(meta["bins"])) if meta.get("bins") else None
+        # older checkpoints record their depth bins; only the fixed ones load
+        if meta.get("bins") not in (None, list(DEPTH_BOUNDS)):
+            raise ModelError(f"checkpoint depth bins {meta['bins']!r} are not the fixed bins {list(DEPTH_BOUNDS)}")
         return cls(
             embed,
             Tensor(weight, arrays[weight]),
             Tensor(bias, arrays[bias]),
             space,
             meta["level"],
-            bins,
-            meta.get("dropout"),
             meta.get("eq_map"),
         )
 
@@ -415,15 +388,13 @@ def _adam_step(
     store: TermStore,
     adam: Adam,
     pass_seed: int,
-    batched: bool,
     losses: Callable[[CompGraph, StateEmbedder], list[int]],
 ) -> float:
     """One Adam update on the mean of the loss nodes that `losses` builds."""
-    graph = CompGraph()
-    graph.dropout_seed = pass_seed + 500_000_000
+    graph = CompGraph(dropout_seed=pass_seed + 500_000_000)
     emb = StateEmbedder(graph, model.embed, store, model.config(train=True, pass_seed=pass_seed))
     loss = graph.vmean(graph.concat(losses(graph, emb)))
-    value, _ = forward_backward(graph, loss, batched=batched)
+    value, _ = forward_backward(graph, loss)
     adam.step()
     return value
 
@@ -434,7 +405,6 @@ def train_step(
     batch: list[LabeledState],
     adam: Adam,
     pass_seed: int,
-    batched: bool = True,
 ) -> float:
     """One Adam update on the mean cross-entropy over the batch."""
 
@@ -447,7 +417,7 @@ def train_step(
             out.append(graph.softmax_xent(logits, st.label - 1))
         return out
 
-    return _adam_step(clf, store, adam, pass_seed, batched, losses)
+    return _adam_step(clf, store, adam, pass_seed, losses)
 
 
 @dataclass
@@ -502,7 +472,6 @@ def train_classifier(
     valid_states: list[LabeledState],
     space: ClassSpace,
     cfg: TrainConfig,
-    bins: DepthBins | None = None,
     eq_map: dict[str, str] | None = None,
     log=None,
 ) -> tuple[Classifier, list[EpochStats]]:
@@ -513,7 +482,7 @@ def train_classifier(
     missing = set(range(1, space.n_classes + 1)) - present
     if missing:
         warnings.warn(f"classes absent from training labels: {sorted(missing)}")
-    clf = Classifier.create(store, space, cfg, bins, eq_map)
+    clf = Classifier.create(store, space, cfg, eq_map)
     order = list(train_states)
     rng = random.Random(cfg.seed)
 
@@ -562,25 +531,23 @@ def train_argument_model(
     train_states: list[LabeledState],
     valid_states: list[LabeledState],
     cfg: TrainConfig,
-    max_neg_ratio: float = 4.0,
-    pos_weight: float | None = None,
     log=None,
 ) -> tuple[Classifier, list[EpochStats]]:
     """Weighted two-way training over (state, entry) pairs.
 
-    The positive class weight defaults to the negative/positive ratio of the
-    full training set; negatives are subsampled each epoch to at most
-    `max_neg_ratio` per positive.
+    The positive class weight is the negative/positive ratio of the full
+    training set; negatives are subsampled each epoch to at most four per
+    positive.
     """
     pairs = [(st, i, st.arg_flags[i]) for st in train_states for i in range(len(st.ctx))]
     positives = [p for p in pairs if p[2]]
     negatives = [p for p in pairs if not p[2]]
     if not positives:
         raise ModelError("argument training needs at least one positive pair")
-    weight = len(negatives) / len(positives) if pos_weight is None else pos_weight
+    weight = len(negatives) / len(positives)
     model = Classifier.create(store, argument_space(), cfg)
     rng = random.Random(cfg.seed)
-    cap = int(max_neg_ratio * len(positives))
+    cap = 4 * len(positives)
 
     def subsampled() -> list[tuple[LabeledState, int, bool]]:
         kept_neg = rng.sample(negatives, cap) if len(negatives) > cap else negatives
@@ -601,7 +568,7 @@ def train_argument_model(
                 out.append(graph.affine(xent, weight if flag else 1.0, 0.0))
             return out
 
-        return _adam_step(model, store, adam, pass_seed, True, losses)
+        return _adam_step(model, store, adam, pass_seed, losses)
 
     def precision() -> float:
         return average_precision(pr_curve_for(model, store, valid_states)) if valid_states else 0.0

@@ -30,6 +30,9 @@ from .engine import (
 )
 from .terms import App, Const, Prod, TermId, TermStore, Var, replace_at
 
+# Lemma-name prefix of held-out theorems; the model split and `bench` select by it.
+TEST_PREFIX = "thm_test_"
+
 
 class GenerationError(Exception):
     pass
@@ -329,7 +332,7 @@ def gen_theorems(store: TermStore, spec: DatasetSpec) -> tuple[list[TheoremSpec]
         )
 
     train = [make(e, f"thm_train_{i:04d}") for i, e in enumerate(exprs[: spec.n_train])]
-    test = [make(e, f"thm_test_{i:04d}") for i, e in enumerate(exprs[spec.n_train :])]
+    test = [make(e, f"{TEST_PREFIX}{i:04d}") for i, e in enumerate(exprs[spec.n_train :])]
     return train, test
 
 

@@ -90,11 +90,6 @@ class SynthesisResult:
         return sum(1 for s in self.steps if s.accepted)
 
 
-def _oracle_step(store: TermStore, session: ProofSession, sid: int) -> Tactic:
-    lhs, rhs = session.goal_sides(sid)
-    return oracle_proof(store, lhs, rhs)[0]
-
-
 def _sound(store: TermStore, session: ProofSession, sid: int, tactic: Tactic) -> bool:
     """Dry-run check: the tactic applies and leaves the goal completable."""
     if isinstance(tactic, Reflexivity):
@@ -135,7 +130,7 @@ def synthesize(
         tactic = predictor.propose(store, state.ctx, state.goal)
         accepted = True
         if fallback and not _sound(store, session, sid, tactic):
-            tactic = _oracle_step(store, session, sid)
+            tactic = OraclePredictor().propose(store, state.ctx, state.goal)
             accepted = False
             result.fallback_uses += 1
         try:

@@ -153,8 +153,16 @@ def _record_from_json(
             or not all(type(child) is int for child in children)
         ):
             raise DatasetError(f"line {lineno}: state ids must be integers")
-        if not (type(lemma) is str and type(tac["class"]) is str and type(tac["raw"]) is str):
-            raise DatasetError(f"line {lineno}: lemma and tactic names must be strings")
+        ctx = tuple((name, ref(fid)) for name, fid in obj["ctx"])
+        args = tuple(TacticArg(a["kind"], a["value"]) for a in tac["args"])
+        if not (
+            type(lemma) is str
+            and type(tac["class"]) is str
+            and type(tac["raw"]) is str
+            and all(type(name) is str for name, _ in ctx)
+            and all(type(a.kind) is str and type(a.value) is str for a in args)
+        ):
+            raise DatasetError(f"line {lineno}: lemma, context and tactic names must be strings")
         key = (lemma, state_id)
         if key in seen:
             raise DatasetError(f"line {lineno}: duplicate state {state_id} in lemma {lemma!r}")
@@ -163,13 +171,9 @@ def _record_from_json(
             lemma=lemma,
             state_id=state_id,
             parent_id=parent_id,
-            ctx=tuple((name, ref(fid)) for name, fid in obj["ctx"]),
+            ctx=ctx,
             goal=ref(obj["goal"]),
-            tactic=TacticCall(
-                class_name=tac["class"],
-                raw=tac["raw"],
-                args=tuple(TacticArg(a["kind"], a["value"]) for a in tac["args"]),
-            ),
+            tactic=TacticCall(class_name=tac["class"], raw=tac["raw"], args=args),
             children=children,
         )
     except KeyError as exc:
@@ -264,33 +268,18 @@ def split_by_lemma(
 # -- depth bins -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DepthBins:
-    """Partition of the non-negative integers by inclusive upper bounds.
-
-    K = len(uppers) + 1 classes, 1-based: steps <= uppers[0] is class 1, and
-    so on; anything above the last bound lands in class K.
-    """
-
-    uppers: tuple[int, ...] = (5, 19)
-
-    def __post_init__(self) -> None:
-        if not self.uppers or list(self.uppers) != sorted(set(self.uppers)):
-            raise DatasetError(f"bin bounds must be strictly increasing, got {self.uppers}")
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.uppers) + 1
+# Inclusive upper bounds of the remaining-proof-depth classes, 1-based:
+# <= 5 steps is class 1 (close), 6-19 class 2 (medium), >= 20 class 3 (far).
+DEPTH_BOUNDS = (5, 19)
 
 
-def bin_depth(steps: int, bins: DepthBins | None = None) -> int:
+def bin_depth(steps: int) -> int:
     if steps < 0:
         raise DatasetError(f"steps must be non-negative, got {steps}")
-    bins = bins or DepthBins()
-    for i, upper in enumerate(bins.uppers):
+    for i, upper in enumerate(DEPTH_BOUNDS):
         if steps <= upper:
             return i + 1
-    return bins.n_classes
+    return len(DEPTH_BOUNDS) + 1
 
 
 # -- corpus statistics ------------------------------------------------------------

@@ -130,8 +130,7 @@ def test_gradcheck_dropout_with_fixed_mask():
     x = tensor("x", (D,))
 
     def build():
-        g = CompGraph()
-        g.dropout_seed = 99
+        g = CompGraph(dropout_seed=99)
         return g, g.vsum(g.mul(g.dropout(g.param(x), 0.5), g.param(x)))
 
     graph, loss = build()
@@ -370,8 +369,7 @@ def test_run_backward_returns_zero_for_unused_params():
 
 def test_dropout_mask_cached_within_pass():
     t = Tensor("x", np.ones(1000))
-    g = CompGraph()
-    g.dropout_seed = 7
+    g = CompGraph(dropout_seed=7)
     d = g.dropout(g.param(t), 0.5)
     run_forward(g)
     first = g.nodes[d].value.copy()
@@ -382,28 +380,31 @@ def test_dropout_mask_cached_within_pass():
     assert np.allclose(first[first != 0], 2.0)  # inverted scaling 1/(1-rate)
 
 
-def test_reseed_changes_masks_and_pass_constants():
-    t = Tensor("x", np.ones(100))
-    g = CompGraph()
-    g.dropout_seed = 7
-    d = g.dropout(g.param(t), 0.5)
-    pc = g.pass_const(3, (0, 0), 16)
-    run_forward(g)
-    mask1 = g.nodes[d].value.copy()
-    pc1 = g.nodes[pc].value.copy()
-    g.reseed(pass_seed=4, dropout_seed=8)
-    run_forward(g)
-    assert not np.array_equal(mask1, g.nodes[d].value)
-    assert not np.array_equal(pc1, g.nodes[pc].value)
+def test_partial_backward_through_a_dropout_bucket():
+    # Two dropout nodes share a bucket and only the second reaches the loss,
+    # so the backward kernel reads a subset of the masks the forward one saved.
+    t = Tensor("x", np.ones(50))
+    u = Tensor("y", np.ones(50))
+    w = Tensor("w", np.arange(50.0))
+    for batched in (True, False):
+        g = CompGraph(dropout_seed=7)
+        first = g.dropout(g.param(t), 0.5)
+        second = g.dropout(g.param(u), 0.5)
+        loss = g.vsum(g.mul(second, g.param(w)))
+        assert [nids for _, nids in g.buckets() if g.nodes[nids[0]].op == "dropout"] == [[first, second]]
+        _, grads = forward_backward(g, loss, batched=batched)
+        mask = g.nodes[second].value  # the input is all ones
+        assert not np.array_equal(mask, g.nodes[first].value)
+        assert np.array_equal(grads["y"], mask * w.value)
+        assert np.array_equal(grads["x"], np.zeros(50))
 
 
 def test_dropout_masks_keyed_by_creation_order_not_node_id():
     t = Tensor("x", np.ones(200))
     u = Tensor("y", np.ones(50))
 
-    def build(padding):
-        g = CompGraph()
-        g.dropout_seed = 7
+    def build(padding, seed=7):
+        g = CompGraph(dropout_seed=seed)
         drops = []
         for k in range(3):
             for _ in range(padding * k):  # unrelated nodes shift every later node id
@@ -426,11 +427,11 @@ def test_dropout_masks_keyed_by_creation_order_not_node_id():
     for a, n in zip(first, d2):
         assert np.array_equal(a, g2.nodes[n].value)
 
-    # reseed still redraws them
-    g2.reseed(pass_seed=0, dropout_seed=8)
-    run_forward(g2)
-    for a, n in zip(first, d2):
-        assert not np.array_equal(a, g2.nodes[n].value)
+    # another dropout seed draws other masks
+    g3, d3 = build(4, seed=8)
+    run_forward(g3)
+    for a, n in zip(first, d3):
+        assert not np.array_equal(a, g3.nodes[n].value)
 
 
 def test_pass_const_deterministic_by_key():

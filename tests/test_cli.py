@@ -14,6 +14,7 @@ import pytest
 
 from helpers import make_generic_corpus
 from proofgym.cli import main
+from proofgym.embeddings import load_checkpoint, save_checkpoint
 from proofgym.models import Classifier
 from proofgym.terms import TermStore
 from proofgym.traces import read_dataset, write_dataset
@@ -124,9 +125,13 @@ def test_stats_prints_both_tables(toy_file):
         lambda rec: {**rec, "children": ["1"]},
         lambda rec: {**rec, "lemma": 5},
         lambda rec: {**rec, "tactic": {**rec["tactic"], "raw": 5}},
+        lambda rec: {**rec, "ctx": [[["b"], 0]]},
+        lambda rec: {**rec, "tactic": {**rec["tactic"], "args": [{"kind": 5, "value": "b"}]}},
+        lambda rec: {**rec, "tactic": {**rec["tactic"], "args": [{"kind": "local", "value": ["b"]}]}},
     ],
     ids=["list", "int-children", "int-ctx-entry", "long-ctx-entry", "str-state", "bool-state",
-         "float-parent", "str-child", "int-lemma", "int-raw"],
+         "float-parent", "str-child", "int-lemma", "int-raw", "list-ctx-name", "int-arg-kind",
+         "list-arg-value"],
 )
 def test_stats_rejects_a_malformed_record(ws, toy_file, edit):
     with open(toy_file, encoding="utf-8") as fh:
@@ -190,6 +195,16 @@ def test_eval_subsets(pos_ckpt, toy_file):
     assert full["task"] == test_only["task"] == "pos"
     assert full["n"] == 8 * 5
     assert test_only["n"] == 2 * 5  # the thm_test_ lemmas
+
+
+def test_eval_rejects_a_checkpoint_with_other_depth_bins(ws, pos_ckpt, toy_file):
+    path, _ = pos_ckpt
+    _, meta = load_checkpoint(path)
+    bad = str(ws / "pos-bins.npz")
+    save_checkpoint(bad, Classifier.load(path).tensors(), {**meta, "bins": [2, 4, 8]})
+    code, out, err = run(["eval", "--ckpt", bad, "--in", toy_file])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "bins" in err
 
 
 def test_train_and_eval_argument_model(ws, generic_file):

@@ -332,8 +332,7 @@ def test_train_dropout_applies_masks(store):
     goal = parse_sexpr(store, "(app eq (app f (c e) (v b)) (v b))")
     g_ty = parse_sexpr(store, "(c G)")
     cfg = EmbedConfig(cell="treelstm", dim=DIM, drop_implicit=False, dropout=0.3, train=True, pass_seed=1)
-    g = CompGraph()
-    g.dropout_seed = 5
+    g = CompGraph(dropout_seed=5)
     emb = StateEmbedder(g, params, store, cfg)
     emb.embed_state((("b", g_ty),), goal)
     assert any(n.op == "dropout" for n in g.nodes)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from proofgym.engine import (
     CLOSED,
@@ -292,12 +294,30 @@ def test_tactic_text_round_trips_through_the_parser():
 
 
 @pytest.mark.parametrize(
-    "text", ["", "rewrite one left", "rewrite 1 sideways", "rewrite 1", "reflexivity now", "induction"]
+    "text",
+    ["", "rewrite one left", "rewrite 1 sideways", "rewrite 1", "reflexivity now", "induction",
+     "rewrite 01 left", "rewrite +1 left", "rewrite 1_0 left"],
 )
 def test_parse_tactic_rejects_malformed_text(text):
     with pytest.raises(BadTactic) as err:
         parse_tactic(text)
     assert err.value.code == "BadArgument"
+
+
+@given(
+    st.lists(
+        st.sampled_from(["rewrite", "reflexivity", "left", "right", "0", "1", "12", "-1", "01", "+1", "1_0", "x"]),
+        max_size=4,
+    ),
+    st.sampled_from([" ", "  ", "\t", " \t "]),
+)
+def test_accepted_tactic_text_prints_back_as_written(words, sep):
+    text = sep.join(words)
+    try:
+        tactic = parse_tactic(text)
+    except BadTactic:
+        return
+    assert tactic_text(tactic) == " ".join(text.split())
 
 
 def test_replay_trace_full_proof(store):

@@ -36,10 +36,10 @@ from proofgym.models import (
     train_argument_model,
     train_classifier,
 )
-from proofgym.embeddings import save_checkpoint
+from proofgym.embeddings import load_checkpoint, save_checkpoint
 from proofgym.rewrite import DatasetSpec, gen_dataset_records
 from proofgym.terms import TermStore
-from proofgym.traces import DatasetError, DepthBins, TacticCall, TraceRecord, bin_depth, record_steps_below
+from proofgym.traces import DatasetError, TacticCall, TraceRecord, bin_depth, record_steps_below
 
 SMALL = TrainConfig(dim=16, batch_size=8, lr=0.01, max_epochs=4, patience=2, seed=0)
 
@@ -113,7 +113,7 @@ def test_pos_eval_labels_count_descends(store, toy_records):
 def test_pos_eval_binning_golden(store, toy_records):
     # length-5 proofs: root has 6 edges below (intro + 4 rewrites + reflexivity),
     # so per lemma the labels are one medium (root) and five close
-    states = pos_eval_states(toy_records, DepthBins())
+    states = pos_eval_states(toy_records)
     by_lemma = {}
     for stt in states:
         by_lemma.setdefault(stt.lemma, []).append(stt.label)
@@ -154,7 +154,7 @@ def _chain(store, n, close=True):
 def test_pos_eval_labels_on_a_chain_deeper_than_the_recursion_limit(store):
     n = 3_000
     states = pos_eval_states(_chain(store, n))
-    assert [s.label for s in states] == [bin_depth(n - i, DepthBins()) for i in range(n)]
+    assert [s.label for s in states] == [bin_depth(n - i) for i in range(n)]
 
 
 def test_steps_below_rejects_a_cycle(store):
@@ -352,7 +352,7 @@ def _checkpoint_case(store, kind):
     states, space = states_for_task(
         gen_dataset_records(store, DatasetSpec(n_train=3, n_test=0, length=5, seed=0))[0], "pos"
     )
-    return Classifier.create(store, space, SMALL, bins=DepthBins(), eq_map=None), states
+    return Classifier.create(store, space, SMALL, eq_map=None), states
 
 
 def _outputs(model, store, states):
@@ -372,14 +372,14 @@ def test_save_load_bitwise(store, tmp_path, kind):
         assert np.array_equal(t.value, loaded.tensors()[name].value)
     assert loaded.space == model.space
     assert loaded.level == model.level
-    assert loaded.bins == model.bins
     assert np.array_equal(_outputs(model, store, states), _outputs(loaded, store, states))
 
 
 @pytest.mark.parametrize("kind", ["classifier", "argument"])
 def test_load_checkpoint_written_with_separate_model_meta(store, tmp_path, kind):
     # the meta that checkpoints carried when the argument ranker was a class
-    # of its own: the argument meta has no classes, bins or eq_map keys
+    # of its own: the argument meta has no classes, bins or eq_map keys. Both
+    # carried a model dropout rate, which only training read.
     model, states = _checkpoint_case(store, kind)
     meta = {
         "model": kind,
@@ -387,11 +387,11 @@ def test_load_checkpoint_written_with_separate_model_meta(store, tmp_path, kind)
         "cell": model.embed.cell,
         "dim": model.embed.dim,
         "level": model.level,
-        "dropout": model.dropout,
+        "dropout": 0.3,
         "symbols": sorted(model.embed.symbol_index, key=model.embed.symbol_index.get),
     }
     if kind == "classifier":
-        meta.update(classes=list(model.space.names), bins=list(model.bins.uppers), eq_map=None)
+        meta.update(classes=list(model.space.names), bins=[5, 19], eq_map=None)
     path = str(tmp_path / f"{kind}.npz")
     save_checkpoint(path, model.tensors(), meta)
     loaded = Classifier.load(path)
@@ -405,6 +405,17 @@ def test_load_rejects_unknown_model_kind(store, tmp_path):
     path = str(tmp_path / "other.npz")
     save_checkpoint(path, model.tensors(), {"model": "regressor", "task": "pos"})
     with pytest.raises(ModelError, match="regressor"):
+        Classifier.load(path)
+
+
+def test_load_rejects_depth_bins_other_than_the_fixed_ones(store, tmp_path):
+    model, _ = _checkpoint_case(store, "classifier")
+    path = str(tmp_path / "bins.npz")
+    model.save(path)
+    _, meta = load_checkpoint(path)
+    assert "bins" not in meta and "dropout" not in meta
+    save_checkpoint(path, model.tensors(), {**meta, "bins": [2, 4, 8]})
+    with pytest.raises(ModelError, match="bins"):
         Classifier.load(path)
 
 

@@ -115,6 +115,8 @@ def test_bad_arguments():
     assert server.handle("TACTIC rewrite 1").startswith("ERR BadArgument ")
     assert server.handle("TACTIC reflexivity now").startswith("ERR BadArgument ")
     assert server.handle("TACTIC induction").startswith("ERR BadArgument ")
+    for pos in ("01", "+1", "1_0"):
+        assert server.handle(f"TACTIC rewrite {pos} left").startswith("ERR BadArgument "), pos
 
 
 def test_undo_on_fresh_theorem():

@@ -6,8 +6,8 @@ from proofgym.engine import declare_domain
 from proofgym.rewrite import DatasetSpec, gen_dataset_records
 from proofgym.terms import TermStore
 from proofgym.traces import (
+    DEPTH_BOUNDS,
     DatasetError,
-    DepthBins,
     TacticArg,
     TacticCall,
     TraceRecord,
@@ -205,30 +205,14 @@ def test_split_custom_ratio(store):
 
 
 def test_bin_depth_goldens():
-    bins = DepthBins()
-    assert bins.uppers == (5, 19)
-    assert bins.n_classes == 3
+    assert DEPTH_BOUNDS == (5, 19)
     for steps, expected in [(0, 1), (5, 1), (6, 2), (19, 2), (20, 3), (100, 3)]:
-        assert bin_depth(steps, bins) == expected
+        assert bin_depth(steps) == expected
 
 
 def test_bin_depth_rejects_negative():
     with pytest.raises(DatasetError):
-        bin_depth(-1, DepthBins())
-
-
-def test_depth_bins_validation():
-    with pytest.raises(DatasetError):
-        DepthBins((5, 5))
-    with pytest.raises(DatasetError):
-        DepthBins(())
-
-
-def test_custom_bins():
-    bins = DepthBins((2, 4, 8))
-    assert bins.n_classes == 4
-    assert bin_depth(3, bins) == 2
-    assert bin_depth(9, bins) == 4
+        bin_depth(-1)
 
 
 # -- histograms ---------------------------------------------------------------------
