@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .terms import App, Const, Prod, TermId, TermStore, Var, op_positions, replace_at
+from .terms import App, Const, Prod, TermId, TermStore, Var, op_node_at, op_positions, replace_at
 from .traces import TacticArg, TacticCall, TraceRecord, record_steps_below
 
 # Canonical symbols of the rewrite domain. `f` is the binary operator, `e`
@@ -156,12 +156,11 @@ def rewrite_lhs(store: TermStore, lhs: TermId, tactic: Rewrite) -> TermId:
     Raises InvalidPosition or PatternMismatch exactly as tactic application
     would, which makes it usable as a dry run.
     """
-    ops = op_positions(store, lhs, OP_SYMBOL)
-    if not (1 <= tactic.pos <= len(ops)):
-        raise InvalidPosition(
-            f"position {tactic.pos} out of range, goal has {len(ops)} operator nodes"
-        )
-    node = store.term(ops[tactic.pos - 1][1])
+    at = op_node_at(store, lhs, tactic.pos, OP_SYMBOL)
+    if at is None:
+        ops = len(op_positions(store, lhs, OP_SYMBOL))
+        raise InvalidPosition(f"position {tactic.pos} out of range, goal has {ops} operator nodes")
+    node = store.term(at)
     if not isinstance(node, App) or len(node.args) != 2:
         raise PatternMismatch(f"node at {tactic.pos} is not a binary operator application")
     left, right = node.args[0][0], node.args[1][0]

@@ -23,6 +23,7 @@ from .embeddings import (
     CELLS,
     EmbedConfig,
     EmbedParams,
+    Known,
     StateEmbedder,
     load_checkpoint,
     save_checkpoint,
@@ -318,27 +319,40 @@ class Classifier:
         return [self._head(graph, graph.concat([state_h, entry_h])) for entry_h in entries]
 
     def _softmax_rows(
-        self, store: TermStore, states: list[LabeledState], batched: bool, chunk: int
+        self, store: TermStore, states: list[LabeledState], batched: bool, chunk: int, known: Known | None = None
     ) -> list[list[np.ndarray]]:
-        """Per state, the softmax of each of its logit nodes; one graph per chunk of states."""
+        """Per state, the softmax of each of its logit nodes; one graph per
+        chunk of states. Subterm embeddings in `known` are reused, and the
+        ones built are added to it."""
         out: list[list[np.ndarray]] = []
         for part in _chunks(states, chunk):
             graph = CompGraph()
-            emb = StateEmbedder(graph, self.embed, store, self.config(train=False, pass_seed=INFERENCE_SEED))
+            cfg = self.config(train=False, pass_seed=INFERENCE_SEED)
+            emb = StateEmbedder(graph, self.embed, store, cfg, known=known)
             per_state = [self._logit_nodes(graph, emb, st) for st in part]
             run_forward(graph, batched=batched)
+            if known is not None:
+                emb.remember()
             out.extend([_softmax(graph.nodes[nid].value) for nid in ids] for ids in per_state)
         return out
 
-    def predict_proba(self, store: TermStore, states: list[LabeledState], batched: bool = True) -> np.ndarray:
+    def _class_rows(
+        self, store: TermStore, states: list[LabeledState], batched: bool, known: Known | None
+    ) -> list[np.ndarray]:
         if _kind(self.space) != "classifier":
             raise ModelError("an argument model scores context entries, not states")
-        rows = [row for per_state in self._softmax_rows(store, states, batched, 64) for row in per_state]
+        return [row for per_state in self._softmax_rows(store, states, batched, 64, known) for row in per_state]
+
+    def predict_proba(self, store: TermStore, states: list[LabeledState], batched: bool = True) -> np.ndarray:
+        rows = self._class_rows(store, states, batched, None)
         return np.stack(rows) if rows else np.zeros((0, self.space.n_classes))
 
-    def predict(self, store: TermStore, state: LabeledState) -> np.ndarray:
-        """Distribution over 1-based class ids for one state."""
-        return self.predict_proba(store, [state])[0]
+    def predict(self, store: TermStore, state: LabeledState, known: Known | None = None) -> np.ndarray:
+        """Distribution over 1-based class ids for one state. A `known` dict
+        (see `StateEmbedder`) is read and extended; its rows may differ from
+        freshly built ones in the last bits, as rows of differently sized
+        matrix products do."""
+        return self._class_rows(store, [state], True, known)[0]
 
     def scores(self, store: TermStore, states: list[LabeledState]) -> list[np.ndarray]:
         """Per state: presence probability for each context entry."""

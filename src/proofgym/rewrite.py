@@ -11,6 +11,7 @@ leaf and one operator node.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .engine import (
@@ -246,30 +247,34 @@ def _children(term) -> list[TermId]:
     return []
 
 
-def oracle_proof(store: TermStore, expr: TermId, target: TermId | None = None) -> list[Tactic]:
-    """The rewrite sequence reducing `expr` to `target`, plus Reflexivity.
+def oracle_moves(store: TermStore, expr: TermId, target: TermId | None = None) -> Iterator[Rewrite]:
+    """The rewrites reducing `expr` to `target`, one at a time.
 
     Each step takes the first applicable rewrite, by position ascending and
     the left law before the right one, whose result can still be rewritten
-    into `target` (see `_Reachability`). The result is the first proof in
-    that order, found without search: each step costs one walk of the term
-    with memoised reachability and one `replace_at`, so a length-L proof
-    costs O(L^2) term visits.
+    into `target` (see `_Reachability`). The moves are the first proof in that
+    order, found without search: each one costs one walk of the term with
+    reachability memoised across the steps, so taking only the first move
+    costs one walk, and all of a length-L proof O(L^2) term visits.
     """
     if target is None:
         target = store.var(GOAL_VAR)
-    proof: list[Tactic] = []
     cur = expr
-    if cur != target:
-        oracle = _Reachability(store)
-        try:
-            while cur != target:
-                move, kept = oracle.first_move(cur, target)
-                cur = replace_at(store, cur, move.pos, kept, OP_SYMBOL)
-                proof.append(move)
-        except RecursionError:
-            raise OracleError(f"term {cur} is nested too deeply for the oracle") from None
-    return proof + [Reflexivity()]
+    if cur == target:
+        return
+    oracle = _Reachability(store)
+    try:
+        while cur != target:
+            move, kept = oracle.first_move(cur, target)
+            yield move
+            cur = replace_at(store, cur, move.pos, kept, OP_SYMBOL)
+    except RecursionError:
+        raise OracleError(f"term {cur} is nested too deeply for the oracle") from None
+
+
+def oracle_proof(store: TermStore, expr: TermId, target: TermId | None = None) -> list[Tactic]:
+    """The whole of `oracle_moves` plus the closing Reflexivity."""
+    return [*oracle_moves(store, expr, target), Reflexivity()]
 
 
 def completable(store: TermStore, expr: TermId, target: TermId | None = None) -> bool:

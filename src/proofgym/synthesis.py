@@ -26,7 +26,11 @@ from .engine import (
     start_session,
 )
 from .models import Classifier, LabeledState, ModelError, decode_toy_tactic
-from .rewrite import TheoremSpec, completable, oracle_proof
+
+# perfbench/tracer.py wraps `oracle_proof`, `completable`, `rewrite_lhs` and
+# `start_session` under this module's names as well as their own, so each must
+# stay importable from here; this module no longer calls `oracle_proof`.
+from .rewrite import TheoremSpec, completable, oracle_moves, oracle_proof  # noqa: F401
 from .terms import Prod, TermId, TermStore
 
 
@@ -35,6 +39,10 @@ class SynthesisError(Exception):
 
 
 class Predictor(Protocol):
+    """Proposes tactics. One that caches may also define `fresh()`, returning
+    a predictor with empty caches; `run_benchmark` proves each theorem with
+    its own."""
+
     def propose(self, store: TermStore, ctx: tuple[tuple[str, TermId], ...], goal: TermId) -> Tactic:
         """Top tactic for one open proof state."""
 
@@ -43,19 +51,33 @@ class ModelPredictor:
     """Greedy argmax over a trained rewrite-tactic classifier.
 
     Trivial equalities short-circuit to Reflexivity; the classifier only
-    ranks rewrites.
+    ranks rewrites. A predictor keeps each scored state's probabilities and
+    each subterm's embedding rows (`Classifier.predict`'s `known`) for as long
+    as it lives, so it must outlive no change to the classifier's weights.
+    Rows it reuses may differ from freshly built ones in their last bits.
     """
 
     def __init__(self, classifier: Classifier) -> None:
         if classifier.space.task != "tac":
             raise ModelError(f"a {classifier.space.task!r} model does not predict toy rewrite tactics")
         self.classifier = classifier
+        self._store: TermStore | None = None  # term ids key both caches
+        self._known: dict = {}
+        self._probs: dict = {}
+
+    def fresh(self) -> "ModelPredictor":
+        return ModelPredictor(self.classifier)
 
     def propose(self, store: TermStore, ctx, goal) -> Tactic:
         lhs, rhs = goal_sides(store, goal)
         if lhs == rhs:
             return Reflexivity()
-        probs = self.classifier.predict(store, LabeledState("", ctx, goal))
+        if store is not self._store:
+            self._store, self._known, self._probs = store, {}, {}
+        probs = self._probs.get((ctx, goal))
+        if probs is None:
+            probs = self.classifier.predict(store, LabeledState("", ctx, goal), known=self._known)
+            self._probs[(ctx, goal)] = probs
         return decode_toy_tactic(int(probs.argmax()) + 1)
 
 
@@ -64,7 +86,7 @@ class OraclePredictor:
 
     def propose(self, store: TermStore, ctx, goal) -> Tactic:
         lhs, rhs = goal_sides(store, goal)
-        return oracle_proof(store, lhs, rhs)[0]
+        return next(oracle_moves(store, lhs, rhs), Reflexivity())
 
 
 @dataclass(frozen=True)
@@ -206,8 +228,12 @@ def run_benchmark(
     fallback_total = 0
     accepted = proposed = 0
     for thm in theorems:
-        strict = synthesize(store, thm.statement, predictor, fallback=False, lemma=thm.name)
-        loose = synthesize(store, thm.statement, predictor, fallback=True, lemma=thm.name)
+        # The two attempts at a theorem share one predictor's caches; the
+        # next theorem starts with empty ones.
+        fresh = getattr(predictor, "fresh", None)
+        attempt = fresh() if fresh is not None else predictor
+        strict = synthesize(store, thm.statement, attempt, fallback=False, lemma=thm.name)
+        loose = synthesize(store, thm.statement, attempt, fallback=True, lemma=thm.name)
         completed_strict += strict.completed
         completed_fallback += loose.completed
         fallback_total += loose.fallback_uses

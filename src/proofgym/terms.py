@@ -192,6 +192,8 @@ class TermStore:
     # -- lookups -------------------------------------------------------------
 
     def term(self, tid: TermId) -> Term:
+        if type(tid) is int and 0 <= tid < len(self._nodes):
+            return self._nodes[tid]  # the hot path: skip the call to _check_child
         self._check_child(tid)
         return self._nodes[tid]
 
@@ -300,11 +302,34 @@ def op_positions(store: TermStore, tid: TermId, op_symbol: str) -> list[tuple[Po
     return out
 
 
+def op_node_at(store: TermStore, tid: TermId, pos: Position, op_symbol: str) -> TermId | None:
+    """Id of the application of `op_symbol` at rank `pos` (1-based preorder),
+    or None when there is none; the walk stops at that node."""
+    if pos < 1:
+        return None
+    rank = 0
+    stack = [tid]
+    while stack:
+        t = stack.pop()
+        term = store.term(t)
+        if isinstance(term, App):
+            if _is_op_node(store, t, op_symbol):
+                rank += 1
+                if rank == pos:
+                    return t
+            stack.extend(reversed([c for c, _ in term.args]))
+            stack.append(term.head)
+        elif isinstance(term, Prod):
+            stack.append(term.body)
+            stack.append(term.ty)
+    return None
+
+
 def subterm_at(store: TermStore, tid: TermId, pos: Position, op_symbol: str) -> TermId:
-    for rank, node in op_positions(store, tid, op_symbol):
-        if rank == pos:
-            return node
-    raise PositionError(f"position {pos} out of range")
+    node = op_node_at(store, tid, pos, op_symbol)
+    if node is None:
+        raise PositionError(f"position {pos} out of range")
+    return node
 
 
 def replace_at(

@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from tracer import Tracer  # noqa: E402
 
-from proofgym import autodiff, embeddings, models  # noqa: E402
+from proofgym import autodiff, embeddings, models, synthesis  # noqa: E402
 from proofgym.engine import declare_domain  # noqa: E402
 from proofgym.rewrite import DatasetSpec, gen_dataset_records  # noqa: E402
 from proofgym.terms import TermStore  # noqa: E402
@@ -29,6 +29,9 @@ HOOKED = [
     (autodiff.Adam, "step"),
     (models.Classifier, "predict"),
     (models.Classifier, "predict_proba"),
+    (synthesis.ModelPredictor, "propose"),
+    (synthesis, "synthesize"),
+    (synthesis, "oracle_proof"),
 ]
 
 
@@ -61,6 +64,8 @@ def _traced_step_and_prediction(cell, rate):
         models.train_step(clf, store, states[:4], autodiff.Adam(clf.tensors(), lr=cfg.lr), pass_seed=1)
         tracer.stage = "prove"
         assert np.isclose(clf.predict(store, states[0]).sum(), 1.0)
+        theorems = synthesis.theorems_from_records(store, records)[:1]
+        assert synthesis.run_benchmark(store, theorems, synthesis.ModelPredictor(clf)).completed_fallback == 1
     finally:
         tracer.remove()
     for owner, name in HOOKED:
@@ -72,3 +77,7 @@ def _traced_step_and_prediction(cell, rate):
     for key in ("autodiff.forward_ms_per_step", "autodiff.backward_ms_per_step", "embeddings.build_ms_per_step"):
         assert metrics[key][0] > 0, key
     assert metrics["models.predict_ms.p50"][0] > 0
+    # the prover reaches the model through the wrapped entry points
+    assert tracer.counts[("prove", "predict")] > 1
+    assert tracer.counts[("prove", "propose")] > 0
+    assert tracer.counts[("prove", "synthesize")] == 2

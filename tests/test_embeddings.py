@@ -1,5 +1,6 @@
 import contextlib
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -337,6 +338,63 @@ def test_train_dropout_applies_masks(store):
     emb.embed_state((("b", g_ty),), goal)
     assert any(n.op == "dropout" for n in g.nodes)
     run_forward(g)
+
+
+def test_known_refuses_dropout(store):
+    params = EmbedParams.create(list(store.symbols()), "treelstm", DIM, seed=0)
+    cfg = EmbedConfig(cell="treelstm", dim=DIM, drop_implicit=False, dropout=0.3, train=True, pass_seed=1)
+    with pytest.raises(EmbeddingError):
+        StateEmbedder(CompGraph(dropout_seed=5), params, store, cfg, known={})
+    StateEmbedder(CompGraph(dropout_seed=5), params, store, cfg)  # without a cache it builds
+    StateEmbedder(CompGraph(), params, store, replace(cfg, train=False), known={})
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_known_rows_rebuild_the_same_state(store, cell):
+    # a second graph reads every composite subterm from `known` and gives the
+    # value a graph built from scratch gives, up to the last bits
+    params = EmbedParams.create(list(store.symbols()), cell, DIM, seed=0)
+    ctx = (("b", parse_sexpr(store, "(c G)")),)
+    first = parse_sexpr(store, "(app eq (app f (app f (c e) (v b)) (app f (c e) (c m))) (v b))")
+    second = parse_sexpr(store, "(app eq (app f (v b) (app f (c e) (c m))) (v b))")
+    known = {}
+
+    def state_value(goal, known):
+        g = CompGraph()
+        emb = StateEmbedder(g, params, store, cfg_for(cell), known=known)
+        nid = emb.embed_state(ctx, goal)
+        run_forward(g)
+        if known is not None:
+            emb.remember()
+        return g, g.nodes[nid].value
+
+    state_value(first, known)
+    inner = parse_sexpr(store, "(app f (c e) (c m))")
+    keys = {key[0]: key for key in known}
+    assert keys[inner] == (inner, (), False)  # closed
+    bound = parse_sexpr(store, "(app f (c e) (v b))")
+    assert keys[bound] == (bound, ((0, 0),), False)  # b is context slot 0
+    g, cached = state_value(second, known)
+    _, fresh = state_value(second, None)
+    np.testing.assert_allclose(cached, fresh, rtol=1e-12, atol=1e-15)
+    assert sum(n.op == "const" for n in g.nodes) > 2  # zeros, the slot vector and reused rows
+
+
+def test_known_skips_binders_and_binder_bound_variables(store, params):
+    # forall x:G, f x m: the product draws a binder vector, and `f x m`
+    # depends on it; neither may be reused in another pass
+    prod = parse_sexpr(store, "(prod x (c G) (app f (v x) (c m)))")
+    known = {}
+    g = CompGraph()
+    emb = StateEmbedder(g, params, store, cfg_for(), known=known)
+    emb.embed_state((), parse_sexpr(store, "(app eq (app f (c e) (c m)) (app eq (c e) (c e)))"))
+    emb.embed_term(prod)
+    run_forward(g)
+    emb.remember()
+    cached = {key[0] for key in known}
+    assert prod not in cached
+    assert parse_sexpr(store, "(app f (v x) (c m))") not in cached
+    assert parse_sexpr(store, "(app f (c e) (c m))") in cached
 
 
 def test_visited_tracks_unique_terms(store, params):

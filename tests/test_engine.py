@@ -28,9 +28,9 @@ from proofgym.engine import (
 )
 from proofgym.models import TOY_MAX_POS, decode_toy_tactic, group_by_lemma, toy_tactic_space
 from proofgym.protocol import ProtocolServer
-from proofgym.rewrite import gen_expression, oracle_proof, statement_for
+from proofgym.rewrite import enumerate_expressions, gen_expression, oracle_proof, statement_for
 from proofgym.sexpr import parse_sexpr, print_sexpr
-from proofgym.terms import TermStore
+from proofgym.terms import Const, TermStore, op_positions, replace_at
 from proofgym.traces import TacticCall, record_steps_below
 
 
@@ -273,6 +273,38 @@ def test_rewrite_lhs_pure(store):
         rewrite_lhs(store, lhs, Rewrite(2, Law.RIGHT))
     with pytest.raises(PatternMismatch):
         rewrite_lhs(store, lhs, Rewrite(1, Law.LEFT))
+
+
+def _listed_rewrite_lhs(store, lhs, tactic):
+    """rewrite_lhs by listing every operator node first: the slow reference."""
+    ops = op_positions(store, lhs, "f")
+    if not (1 <= tactic.pos <= len(ops)):
+        raise InvalidPosition(f"position {tactic.pos} out of range, goal has {len(ops)} operator nodes")
+    left, right = (c for c, _ in store.term(ops[tactic.pos - 1][1]).args)
+    if tactic.law is Law.LEFT:
+        if store.term(left) != Const("e"):
+            raise PatternMismatch(f"node at {tactic.pos} does not match e (+) Y")
+        return replace_at(store, lhs, tactic.pos, right, "f")
+    if store.term(right) != Const("m"):
+        raise PatternMismatch(f"node at {tactic.pos} does not match Y (+) m")
+    return replace_at(store, lhs, tactic.pos, left, "f")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+def test_rewrite_lhs_matches_the_listing_reference(store, length):
+    # every position from 0 to one past the end, both laws, same messages
+    for expr in sorted(enumerate_expressions(store, length)):
+        for pos in range(-1, length + 1):
+            for law in Law:
+                tactic = Rewrite(pos, law)
+                assert _outcome(rewrite_lhs, store, expr, tactic) == _outcome(_listed_rewrite_lhs, store, expr, tactic)
 
 
 def test_tactic_from_call_round_trip(store):

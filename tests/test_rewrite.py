@@ -14,11 +14,13 @@ from proofgym.rewrite import (
     gen_dataset_records,
     gen_expression,
     gen_theorems,
+    oracle_moves,
     oracle_proof,
     prove_with_oracle,
     statement_for,
 )
 from proofgym.sexpr import parse_sexpr, print_sexpr
+from proofgym.synthesis import OraclePredictor
 from proofgym.terms import TermStore
 
 from helpers import deep_term, dfs_moves, dfs_oracle_proof
@@ -169,6 +171,8 @@ def test_deep_nesting_raises_oracle_error(store):
         oracle_proof(store, deep)
     with pytest.raises(OracleError, match="nested too deeply"):
         completable(store, deep)
+    with pytest.raises(OracleError, match="nested too deeply"):
+        next(oracle_moves(store, deep))
 
 
 def test_oracle_custom_target(store):
@@ -228,10 +232,21 @@ def _proof_or_none(oracle, store, expr, target=None):
         return None
 
 
+def _moves_then_reflexivity(store, expr, target):
+    return [*oracle_moves(store, expr, target), Reflexivity()]
+
+
 def _assert_agrees(store, expr, target=None):
     expected = _proof_or_none(dfs_oracle_proof, store, expr, target)
     assert _proof_or_none(oracle_proof, store, expr, target) == expected
+    assert _proof_or_none(_moves_then_reflexivity, store, expr, target) == expected
     assert completable(store, expr, target) == (expected is not None)
+    goal = store.app(store.const("eq"), [expr, store.var("b") if target is None else target])
+    if expected is None:
+        with pytest.raises(OracleError):
+            OraclePredictor().propose(store, (), goal)
+    else:
+        assert OraclePredictor().propose(store, (), goal) == expected[0]
 
 
 @pytest.mark.parametrize("length", range(1, 8))

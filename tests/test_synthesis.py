@@ -1,9 +1,13 @@
 import random
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
-from proofgym import synthesis
-from proofgym.engine import Law, Reflexivity, Rewrite, declare_domain
+from proofgym import models, synthesis
+from proofgym.autodiff import Adam
+from proofgym.engine import Law, Reflexivity, Rewrite, declare_domain, goal_sides
+from proofgym.models import Classifier, LabeledState, TrainConfig, decode_toy_tactic, states_for_task, train_step
 from proofgym.rewrite import DatasetSpec, gen_dataset_records, gen_theorems, statement_for
 from proofgym.sexpr import parse_sexpr, print_sexpr
 from proofgym.synthesis import (
@@ -300,3 +304,97 @@ def test_model_predictor_short_circuits_reflexivity(store):
     predictor = ModelPredictor(clf)
     goal = parse_sexpr(store, "(app eq (v b) (v b))")
     assert predictor.propose(store, (), goal) == Reflexivity()
+
+
+# -- the per-theorem inference cache ----------------------------------------------------
+
+
+class UncachedPredictor:
+    """ModelPredictor's proposals, each state scored by a graph of its own."""
+
+    def __init__(self, classifier):
+        self.classifier = classifier
+        self.probs = {}
+
+    def propose(self, store, ctx, goal):
+        lhs, rhs = goal_sides(store, goal)
+        if lhs == rhs:
+            return Reflexivity()
+        probs = self.classifier.predict(store, LabeledState("", ctx, goal))
+        self.probs[(ctx, goal)] = probs
+        return decode_toy_tactic(int(probs.argmax()) + 1)
+
+
+def _trained_prover(cell, length):
+    store = TermStore()
+    declare_domain(store)
+    records, _ = gen_dataset_records(store, DatasetSpec(n_train=40, n_test=12, length=length, seed=0))
+    states, space = states_for_task(records, "tac")
+    cfg = TrainConfig(cell=cell, dim=24, batch_size=16, seed=0)
+    clf = Classifier.create(store, space, cfg)
+    adam = Adam(clf.tensors(), lr=0.01)
+    for i in range(8):
+        train_step(clf, store, states[16 * i : 16 * i + 16], adam, pass_seed=i + 1)
+    return store, clf, theorems_from_records(store, records, lemma_prefix="thm_test_")
+
+
+@contextmanager
+def counting_graph_nodes(counts):
+    original = models.run_forward
+
+    def counted(graph, *args, **kwargs):
+        counts.append(len(graph.nodes))
+        return original(graph, *args, **kwargs)
+
+    models.run_forward = counted
+    try:
+        yield
+    finally:
+        models.run_forward = original
+
+
+@pytest.mark.parametrize("cell,length", [("gru", 10), ("treelstm", 14)])
+def test_cached_prover_matches_uncached_predict(cell, length):
+    store, clf, theorems = _trained_prover(cell, length)
+    cached_nodes, fresh_nodes = [], []
+    for thm in theorems:
+        cached = ModelPredictor(clf)
+        fresh = UncachedPredictor(clf)
+        for fallback in (False, True):
+            with counting_graph_nodes(cached_nodes):
+                got = synthesize(store, thm.statement, cached, fallback=fallback, lemma=thm.name)
+            with counting_graph_nodes(fresh_nodes):
+                want = synthesize(store, thm.statement, fresh, fallback=fallback, lemma=thm.name)
+            assert got.steps == want.steps, (thm.name, fallback)
+            assert (got.outcome, got.fallback_uses) == (want.outcome, want.fallback_uses)
+        assert cached._probs.keys() == fresh.probs.keys()
+        for key, probs in fresh.probs.items():
+            np.testing.assert_allclose(cached._probs[key], probs, rtol=1e-9, atol=0)
+    # each state is scored once, and reused subterms build no nodes
+    assert len(cached_nodes) < len(fresh_nodes)
+    assert sum(cached_nodes) < 0.8 * sum(fresh_nodes)
+
+
+def test_run_benchmark_keeps_nothing_between_theorems():
+    store, clf, theorems = _trained_prover("gru", 10)
+    predictor = ModelPredictor(clf)
+    runs = []
+    for _ in range(2):
+        runs.append([])
+        with counting_graph_nodes(runs[-1]):
+            report = run_benchmark(store, theorems[:1], predictor)
+        assert report.n == 1
+    assert runs[0] == runs[1] and runs[0]
+    assert not predictor._known and not predictor._probs  # every theorem proves with a fresh() copy
+
+
+def test_model_predictor_drops_its_caches_for_another_store():
+    store, clf, theorems = _trained_prover("gru", 10)
+    predictor = ModelPredictor(clf)
+    synthesize(store, theorems[0].statement, predictor, fallback=True)
+    assert predictor._known and predictor._probs
+    other = TermStore()
+    declare_domain(other)
+    goal = parse_sexpr(other, "(app eq (app f (c e) (v b)) (v b))")
+    predictor.propose(other, (("b", other.const("G")),), goal)
+    assert len(predictor._probs) == 1

@@ -1,5 +1,6 @@
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +8,7 @@ from proofgym.terms import (
     App,
     ArityMismatch,
     Const,
+    DanglingChild,
     MalformedTerm,
     PositionError,
     Prod,
@@ -96,6 +98,21 @@ def test_app_head_flattening(store):
 def test_dangling_child_rejected(store):
     with pytest.raises(Exception):
         store.intern(App(10_000, ((0, False),)))
+
+
+@pytest.mark.parametrize(
+    "bad", [lambda n: -1, lambda n: n, lambda n: "0", lambda n: 1.0, lambda n: np.int64(0), lambda n: None]
+)
+def test_term_rejects_ids_outside_the_store(store, bad):
+    store.var("x")
+    with pytest.raises(DanglingChild):
+        store.term(bad(len(store)))
+
+
+def test_term_reads_bools_as_ints(store):
+    # isinstance(True, int) holds, so the lookup check lets bools through
+    x, y = store.var("x"), store.var("y")
+    assert store.term(False) == store.term(x) and store.term(True) == store.term(y)
 
 
 def test_free_vars_first_occurrence_order(store):
