@@ -13,10 +13,11 @@ one node whose inputs are its gate weights, then `x` and the children's
 states, so a bucket of cell steps costs a few stacked matmuls instead of a
 dozen primitive buckets.
 
-A graph serves one pass: a training step or an inference chunk builds a
-fresh one. Its dropout seed is fixed at construction, and each dropout node
-carries its rate and its (seed, ordinal) key, so the dropout kernel draws its
-masks from the node alone.
+A graph may grow between passes: `run_forward` computes only the nodes added
+since its last call, so the prover keeps one graph per theorem; backward needs
+a pass from node 0. A graph's dropout seed is fixed at construction, and each
+dropout node carries its rate and its (seed, ordinal) key, so the dropout
+kernel draws its masks from the node alone.
 """
 
 from __future__ import annotations
@@ -82,14 +83,13 @@ class CompGraph:
         # by its node id, so a graph that creates its dropout nodes in the same
         # order draws the same masks however many other nodes it has.
         self._dropouts = 0
+        self.computed = 0  # nodes[:computed] hold the values of earlier passes
         self._buckets: list[tuple[tuple, list[int]]] | None = None
-        # (batched, per-group records) of the last forward pass, for backward.
-        self._run: tuple[bool, list[_Group]] | None = None
+        # (batched, per-group records, start node) of the last forward pass,
+        # until a node is added; for backward and for `buckets()`.
+        self._run: tuple[bool, list[_Group], int] | None = None
 
     # -- construction -------------------------------------------------------
-
-    def _node(self, tid: int) -> Node:
-        return self.nodes[tid]
 
     def _add(self, op: str, inputs: tuple[int, ...], shape: tuple[int, ...], aux=None) -> int:
         nodes = self.nodes
@@ -247,16 +247,17 @@ class CompGraph:
     # -- grouping for the batched path ----------------------------------------
 
     def buckets(self) -> list[tuple[tuple, list[int]]]:
-        """Non-leaf nodes grouped by depth, op, weights, shape and kernel key.
+        """Non-leaf nodes of the pending pass, or of the last one until a node
+        is added, grouped by depth, op, weights, shape and kernel key.
 
         Nodes of one bucket share their weights; their other inputs become
         stacked rows, so they must have equal shapes. The output shape and
         the weights fix those shapes except where the kernel's key adds them.
         """
         if self._buckets is None:
-            nodes = self.nodes
+            start = self.computed if self._run is None else self._run[2]
             grouped: dict[tuple, list[int]] = {}
-            for node in nodes:
+            for node in self.nodes[start:]:
                 kernel = KERNELS.get(node.op)
                 if kernel is None:
                     continue  # const and param nodes hold their values
@@ -508,15 +509,20 @@ def _acc(node: Node, grad: np.ndarray) -> None:
 
 
 def run_forward(graph: CompGraph, batched: bool = True) -> None:
-    """Compute every node's value, one kernel call per bucket (or per node)."""
+    """Compute the nodes added since the last call, one kernel call per bucket
+    (or per node); a computed node, a parameter's too, keeps its value."""
     nodes = graph.nodes
-    for node in nodes:
+    start = graph.computed
+    new = nodes[start:]
+    for node in new:
         if node.op == "param":
             node.value = node.aux.value
+    if graph._run is not None:  # nothing added since the last pass
+        graph._run = graph._buckets = None
     if batched:
         groups = [nids for _, nids in graph.buckets()]
     else:
-        groups = [[node.nid] for node in nodes if node.op in KERNELS]
+        groups = [[node.nid] for node in new if node.op in KERNELS]
     records = []
     for nids in groups:
         group = [nodes[i] for i in nids]
@@ -530,18 +536,19 @@ def run_forward(graph: CompGraph, batched: bool = True) -> None:
             node.value = row
         b._xs = None  # stacked again if the backward kernel reads them, not held meanwhile
         records.append(b)
-    graph._run = (batched, records)
+    graph.computed = len(nodes)
+    graph._run = (batched, records, start)
 
 
 def run_backward(graph: CompGraph, loss: int, batched: bool = True) -> dict[str, np.ndarray]:
     """Backpropagate from `loss`; returns and installs per-tensor gradients.
 
     Runs the kernels of the last `run_forward`, which must have used the same
-    `batched` flag.
+    `batched` flag and computed the whole graph.
     """
     nodes = graph.nodes
-    if graph._run is None or graph._run[0] != batched:
-        raise GraphError(f"run_backward(batched={batched}) needs a run_forward with the same flag first")
+    if graph._run is None or graph._run[0] != batched or graph._run[2] != 0:
+        raise GraphError(f"run_backward(batched={batched}) needs a run_forward from node 0 with the same flag first")
     for node in nodes:
         node.grad = None
     root = nodes[loss]

@@ -8,16 +8,16 @@ embeds identically within a pass and differently across passes. The embedder
 memoizes per (term, free-variable bindings, implicit-mode) so shared subterms
 cost one subgraph and gradients accumulate through the sharing.
 
-With dropout off, a subterm's embedding depends only on the model, the term
-and the context slots its free variables are bound to. An embedder given a
-`known` dict reuses such embeddings across graphs: a subterm found there
-enters the graph as constant rows, and `remember()` adds the ones it built.
+The memo lives on the graph, so an embedder that adds state after state to
+one graph (the prover's, one per theorem) builds each subterm once: a
+context slot is one node per graph, and a subterm keeps the binder vectors
+of its first encounter in the graph.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,9 +102,6 @@ class EmbedParams:
 
 
 State = tuple[int, int | None]  # (hidden nid, cell-state nid for treelstm)
-# (tid, ((CTX_STREAM, slot) per free variable), drop_implicit) -> (h row, c row
-# for treelstm); valid for one model, term store and pass seed.
-Known = dict[tuple, tuple[np.ndarray, np.ndarray | None]]
 
 
 class StateEmbedder:
@@ -117,26 +114,19 @@ class StateEmbedder:
         store: TermStore,
         cfg: EmbedConfig,
         memoize: bool = True,
-        known: Known | None = None,
     ) -> None:
         if cfg.cell != params.cell:
             raise EmbeddingError(f"config cell {cfg.cell!r} != params cell {params.cell!r}")
-        if known is not None and cfg.rate > 0.0:
-            raise EmbeddingError("embeddings drawn with dropout cannot be reused across graphs")
         self.graph = graph
         self.params = params
         self.store = store
         self.cfg = cfg
         self.memoize = memoize
-        self.visited: set[TermId] = set()
         self._binder_ix = 0
         # First-encounter stream position per memo key, so unshared traversals
         # assign repeated subterms the same binder vectors a memoized one would.
         self._binder_starts: dict[tuple, int] = {}
         self._weights: dict[str, tuple[int, ...]] = {}
-        self.known = known
-        self._slots: dict[int, tuple[int, int]] = {}  # context-entry vector nid -> its stream key
-        self._missed: list[tuple[tuple, State]] = []  # known keys built in this graph
 
     # -- building blocks -------------------------------------------------------
 
@@ -259,15 +249,6 @@ class StateEmbedder:
                 # Keep the draw counter where an unshared traversal would leave it.
                 self._binder_ix += store.binder_count(tid)
                 return hit
-        known_key = self._known_key(tid, bindings)
-        if known_key is not None:
-            rows = self.known.get(known_key)
-            if rows is not None:
-                h, c = rows
-                state = (self.graph.const(h), None if c is None else self.graph.const(c))
-                if self.memoize:
-                    self.graph.memo[key] = state
-                return state
         resume = None
         start = self._binder_starts.setdefault(key, self._binder_ix)
         if start != self._binder_ix:
@@ -277,7 +258,6 @@ class StateEmbedder:
             resume = self._binder_ix + store.binder_count(tid)
             self._binder_ix = start
         term = store.term(tid)
-        self.visited.add(tid)
         if isinstance(term, Var):
             state = env[term.name]
         elif isinstance(term, Const):
@@ -297,30 +277,9 @@ class StateEmbedder:
             state = self._compose("term", self._kind_vec("Prod"), [ty_state, body_state])
         if self.memoize:
             self.graph.memo[key] = state
-        if known_key is not None:
-            self._missed.append((known_key, state))
         if resume is not None:
             self._binder_ix = resume
         return state
-
-    def _known_key(self, tid: TermId, bindings: tuple[int, ...]) -> tuple | None:
-        """Key of `tid` in `known`, or None when it is not to be reused: leaves
-        cost less than constant rows, binders draw per-pass vectors, and a
-        variable bound by a binder has no context slot."""
-        if self.known is None or self.store.binder_count(tid) or not isinstance(self.store.term(tid), App):
-            return None
-        sources = tuple([self._slots.get(h) for h in bindings])
-        if None in sources:
-            return None
-        return (tid, sources, self.cfg.drop_implicit)
-
-    def remember(self) -> None:
-        """After the graph's forward pass: copy the rows of every subterm built
-        here into `known`, copies so they do not keep their buckets' arrays."""
-        nodes = self.graph.nodes
-        for known_key, (h, c) in self._missed:
-            self.known[known_key] = (nodes[h].value.copy(), None if c is None else nodes[c].value.copy())
-        self._missed.clear()
 
     # -- proof states ---------------------------------------------------------------
 
@@ -346,7 +305,6 @@ class StateEmbedder:
                 inputs.append(st)
                 entries.append(st[0])
                 v = self.graph.pass_const(self.cfg.pass_seed, (CTX_STREAM, i), self.params.dim)
-                self._slots[v] = (CTX_STREAM, i)
                 env[name] = self._leaf(v)
             self._binder_ix = 0
             inputs.append(self._embed(goal, env))

@@ -23,7 +23,6 @@ from .embeddings import (
     CELLS,
     EmbedConfig,
     EmbedParams,
-    Known,
     StateEmbedder,
     load_checkpoint,
     save_checkpoint,
@@ -232,6 +231,8 @@ class TrainConfig:
             raise ModelError(f"unknown cell {self.cell!r}")
         if self.level not in ("kernel", "mid"):
             raise ModelError(f"unknown level {self.level!r}")
+        if self.dim < 1 or self.batch_size < 1:
+            raise ModelError(f"dimension and batch size must be >= 1, got {self.dim} and {self.batch_size}")
 
 
 def _pass_seed(seed: int, epoch: int, batch: int) -> int:
@@ -318,47 +319,45 @@ class Classifier:
         state_h, entries = emb.embed_state_with_entries(state.ctx, state.goal)
         return [self._head(graph, graph.concat([state_h, entry_h])) for entry_h in entries]
 
-    def _softmax_rows(
-        self, store: TermStore, states: list[LabeledState], batched: bool, chunk: int, known: Known | None = None
-    ) -> list[list[np.ndarray]]:
-        """Per state, the softmax of each of its logit nodes; one graph per
-        chunk of states. Subterm embeddings in `known` are reused, and the
-        ones built are added to it."""
-        out: list[list[np.ndarray]] = []
-        for part in _chunks(states, chunk):
-            graph = CompGraph()
-            cfg = self.config(train=False, pass_seed=INFERENCE_SEED)
-            emb = StateEmbedder(graph, self.embed, store, cfg, known=known)
-            per_state = [self._logit_nodes(graph, emb, st) for st in part]
-            run_forward(graph, batched=batched)
-            if known is not None:
-                emb.remember()
-            out.extend([_softmax(graph.nodes[nid].value) for nid in ids] for ids in per_state)
-        return out
+    def embedder(self, store: TermStore) -> StateEmbedder:
+        """An inference embedder on a fresh graph."""
+        return StateEmbedder(CompGraph(), self.embed, store, self.config(train=False, pass_seed=INFERENCE_SEED))
 
-    def _class_rows(
-        self, store: TermStore, states: list[LabeledState], batched: bool, known: Known | None
-    ) -> list[np.ndarray]:
+    def _softmax_rows(
+        self, emb: StateEmbedder, states: list[LabeledState], batched: bool = True
+    ) -> list[list[np.ndarray]]:
+        """Per state, the softmax of each of its logit nodes, added to `emb`'s graph."""
+        per_state = [self._logit_nodes(emb.graph, emb, st) for st in states]
+        run_forward(emb.graph, batched=batched)
+        return [[_softmax(emb.graph.nodes[nid].value) for nid in ids] for ids in per_state]
+
+    def _states_only(self) -> None:
         if _kind(self.space) != "classifier":
             raise ModelError("an argument model scores context entries, not states")
-        return [row for per_state in self._softmax_rows(store, states, batched, 64, known) for row in per_state]
 
     def predict_proba(self, store: TermStore, states: list[LabeledState], batched: bool = True) -> np.ndarray:
-        rows = self._class_rows(store, states, batched, None)
+        self._states_only()
+        parts = [self._softmax_rows(self.embedder(store), part, batched) for part in _chunks(states, 64)]
+        rows = [per_state[0] for part in parts for per_state in part]
         return np.stack(rows) if rows else np.zeros((0, self.space.n_classes))
 
-    def predict(self, store: TermStore, state: LabeledState, known: Known | None = None) -> np.ndarray:
-        """Distribution over 1-based class ids for one state. A `known` dict
-        (see `StateEmbedder`) is read and extended; its rows may differ from
-        freshly built ones in the last bits, as rows of differently sized
-        matrix products do."""
-        return self._class_rows(store, [state], True, known)[0]
+    def predict(self, store: TermStore, state: LabeledState, emb: StateEmbedder | None = None) -> np.ndarray:
+        """Distribution over 1-based class ids for one state. Given `emb` (from
+        `embedder`), only the nodes the state adds to its graph are computed;
+        the result can then depend on earlier states, in the last bits and in
+        the binder vectors a reused binder subterm kept from its first use."""
+        self._states_only()
+        if emb is None:
+            emb = self.embedder(store)
+        elif emb.params is not self.embed or emb.store is not store:
+            raise ModelError("the embedder was built for another model or term store")
+        return self._softmax_rows(emb, [state])[0][0]
 
     def scores(self, store: TermStore, states: list[LabeledState]) -> list[np.ndarray]:
         """Per state: presence probability for each context entry."""
         if _kind(self.space) != "argument":
             raise ModelError("only an argument model scores context entries")
-        per_state = self._softmax_rows(store, states, True, 32)
+        per_state = [rows for part in _chunks(states, 32) for rows in self._softmax_rows(self.embedder(store), part)]
         return [np.array([float(row[1]) for row in rows]) for rows in per_state]
 
     def save(self, path: str) -> None:

@@ -309,6 +309,10 @@ class DatasetSpec:
 
 def gen_theorems(store: TermStore, spec: DatasetSpec) -> tuple[list[TheoremSpec], list[TheoremSpec]]:
     """Distinct theorems split in generation order: first n_train, then n_test."""
+    if spec.n_train < 0 or spec.n_test < 0:
+        raise GenerationError(f"theorem counts must be >= 0, got {spec.n_train} train and {spec.n_test} test")
+    if spec.length < 1:
+        raise GenerationError(f"length must be >= 1, got {spec.length}")
     total = spec.n_train + spec.n_test
     if spec.length < 3 and total > (1 if spec.length == 1 else 2):
         raise GenerationError(

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Protocol
 
+from .embeddings import StateEmbedder
 from .engine import (
     EngineError,
     PatternMismatch,
@@ -52,17 +53,17 @@ class ModelPredictor:
 
     Trivial equalities short-circuit to Reflexivity; the classifier only
     ranks rewrites. A predictor keeps each scored state's probabilities and
-    each subterm's embedding rows (`Classifier.predict`'s `known`) for as long
-    as it lives, so it must outlive no change to the classifier's weights.
-    Rows it reuses may differ from freshly built ones in their last bits.
+    one inference graph (`Classifier.embedder`) that every prediction adds
+    its state to, so a subterm is embedded once for as long as the predictor
+    lives; it must outlive no change to the classifier's weights. Reused rows
+    may differ from fresh ones (see `Classifier.predict`).
     """
 
     def __init__(self, classifier: Classifier) -> None:
         if classifier.space.task != "tac":
             raise ModelError(f"a {classifier.space.task!r} model does not predict toy rewrite tactics")
         self.classifier = classifier
-        self._store: TermStore | None = None  # term ids key both caches
-        self._known: dict = {}
+        self._emb: StateEmbedder | None = None  # its store's term ids key both caches
         self._probs: dict = {}
 
     def fresh(self) -> "ModelPredictor":
@@ -72,11 +73,11 @@ class ModelPredictor:
         lhs, rhs = goal_sides(store, goal)
         if lhs == rhs:
             return Reflexivity()
-        if store is not self._store:
-            self._store, self._known, self._probs = store, {}, {}
+        if self._emb is None or store is not self._emb.store:
+            self._emb, self._probs = self.classifier.embedder(store), {}
         probs = self._probs.get((ctx, goal))
         if probs is None:
-            probs = self.classifier.predict(store, LabeledState("", ctx, goal), known=self._known)
+            probs = self.classifier.predict(store, LabeledState("", ctx, goal), self._emb)
             self._probs[(ctx, goal)] = probs
         return decode_toy_tactic(int(probs.argmax()) + 1)
 

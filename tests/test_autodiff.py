@@ -184,15 +184,79 @@ def test_const_memoized_by_key():
     assert c != a
 
 
-def test_param_rereads_tensor_value():
+def test_param_keeps_the_value_of_the_pass_that_computed_it():
     t = Tensor("p", np.ones(3))
     g = CompGraph()
     nid = g.vsum(g.param(t))
     run_forward(g)
     assert g.nodes[nid].value == 3.0
     t.value = np.full(3, 2.0)
+    again = g.vsum(g.param(t))  # the same param node, already computed
     run_forward(g)
-    assert g.nodes[nid].value == 6.0
+    assert g.nodes[nid].value == 3.0
+    assert g.nodes[again].value == 3.0
+
+
+# -- graphs that grow between passes ------------------------------------------------
+
+
+def _cell_sums(g, w, b, xs):
+    """sum(tanh(w x + b)) for each x, on graph g."""
+    return [g.vsum(g.tanh(g.add(g.matmul(g.param(w), g.param(x)), g.param(b)))) for x in xs]
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_second_run_computes_only_the_new_nodes(batched):
+    w, b = tensor("w", (D, D)), tensor("b", (D,))
+    xs = [tensor(f"x{i}", (D,)) for i in range(5)]
+    g = CompGraph()
+    _cell_sums(g, w, b, xs[:2])
+    run_forward(g, batched=batched)
+    before = [node.value for node in g.nodes]
+    assert g.computed == len(g.nodes)
+    grown = _cell_sums(g, w, b, xs[2:])
+    run_forward(g, batched=batched)
+    assert g.computed == len(g.nodes)
+    assert all(node.value is value for node, value in zip(g.nodes, before))
+    fresh = CompGraph()
+    want = _cell_sums(fresh, w, b, xs[2:])
+    run_forward(fresh, batched=batched)
+    for got_nid, want_nid in zip(grown, want):
+        np.testing.assert_allclose(g.nodes[got_nid].value, fresh.nodes[want_nid].value, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_backward_refuses_a_run_that_started_past_node_zero(batched):
+    w, b = tensor("w", (D, D)), tensor("b", (D,))
+    xs = [tensor(f"x{i}", (D,)) for i in range(2)]
+    g = CompGraph()
+    (first,) = _cell_sums(g, w, b, xs[:1])
+    run_forward(g, batched=batched)
+    (second,) = _cell_sums(g, w, b, xs[1:])
+    run_forward(g, batched=batched)
+    with pytest.raises(GraphError, match="from node 0"):
+        run_backward(g, second, batched=batched)
+    run_forward(g, batched=batched)  # nothing new: a pass of no nodes, not from node 0
+    with pytest.raises(GraphError, match="from node 0"):
+        run_backward(g, first, batched=batched)
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_buckets_describe_one_pass(batched):
+    w, b = tensor("w", (D, D)), tensor("b", (D,))
+    xs = [tensor(f"x{i}", (D,)) for i in range(4)]
+    g = CompGraph()
+    _cell_sums(g, w, b, xs[:2])
+    first_pass = g.buckets()
+    run_forward(g, batched=batched)
+    assert g.buckets() == first_pass  # read after the pass, as a profiler does
+    n_first = len(g.nodes)
+    _cell_sums(g, w, b, xs[2:])
+    second_pass = g.buckets()
+    assert second_pass and all(nid >= n_first for _, nids in second_pass for nid in nids)
+    assert [key[1:] for key, _ in second_pass] == [key[1:] for key, _ in first_pass]
+    run_forward(g, batched=batched)
+    assert g.buckets() == second_pass
 
 
 def test_param_name_collision_rejected():
@@ -373,8 +437,10 @@ def test_dropout_mask_cached_within_pass():
     d = g.dropout(g.param(t), 0.5)
     run_forward(g)
     first = g.nodes[d].value.copy()
-    run_forward(g)  # same graph, same seed: identical mask
-    assert np.array_equal(first, g.nodes[d].value)
+    g2 = CompGraph(dropout_seed=7)  # another graph, same seed: identical mask
+    d2 = g2.dropout(g2.param(t), 0.5)
+    run_forward(g2)
+    assert np.array_equal(first, g2.nodes[d2].value)
     kept = np.count_nonzero(first)
     assert 400 < kept < 600
     assert np.allclose(first[first != 0], 2.0)  # inverted scaling 1/(1-rate)
@@ -423,9 +489,10 @@ def test_dropout_masks_keyed_by_creation_order_not_node_id():
     assert not np.array_equal(first[0], first[2])  # each ordinal draws its own mask
 
     # naive runs draw the same masks as batched ones
-    run_forward(g2, batched=False)
-    for a, n in zip(first, d2):
-        assert np.array_equal(a, g2.nodes[n].value)
+    g4, d4 = build(4)
+    run_forward(g4, batched=False)
+    for a, n in zip(first, d4):
+        assert np.array_equal(a, g4.nodes[n].value)
 
     # another dropout seed draws other masks
     g3, d3 = build(4, seed=8)

@@ -65,7 +65,19 @@ def _traced_step_and_prediction(cell, rate):
         tracer.stage = "prove"
         assert np.isclose(clf.predict(store, states[0]).sum(), 1.0)
         theorems = synthesis.theorems_from_records(store, records)[:1]
-        assert synthesis.run_benchmark(store, theorems, synthesis.ModelPredictor(clf)).completed_fallback == 1
+        # nodes each prove-stage forward run finds computed, seen through the
+        # tracer's own wrapper
+        traced, computed_before = models.run_forward, []
+
+        def spy(graph, *args, **kwargs):
+            computed_before.append(graph.computed)
+            return traced(graph, *args, **kwargs)
+
+        models.run_forward = spy
+        try:
+            assert synthesis.run_benchmark(store, theorems, synthesis.ModelPredictor(clf)).completed_fallback == 1
+        finally:
+            models.run_forward = traced
     finally:
         tracer.remove()
     for owner, name in HOOKED:
@@ -81,3 +93,5 @@ def _traced_step_and_prediction(cell, rate):
     assert tracer.counts[("prove", "predict")] > 1
     assert tracer.counts[("prove", "propose")] > 0
     assert tracer.counts[("prove", "synthesize")] == 2
+    # one graph per theorem: later predictions run on what earlier ones computed
+    assert computed_before[0] == 0 and max(computed_before) > 0

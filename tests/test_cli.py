@@ -103,6 +103,22 @@ def test_gen_is_deterministic(ws, toy_file):
     assert again.read_text(encoding="utf-8") == first
 
 
+@pytest.mark.parametrize(
+    "counts,message",
+    [
+        (["--train", "-1", "--test", "2"], "theorem counts must be >= 0"),
+        (["--train", "3", "--test", "-2"], "theorem counts must be >= 0"),
+        (["--train", "6", "--test", "2", "--length", "0"], "length must be >= 1"),
+    ],
+)
+def test_gen_rejects_negative_counts_and_lengths(ws, counts, message):
+    path = ws / "rejected.ds"
+    code, _, err = run(["gen", *counts, "--seed", "0", "--out", str(path)])
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert not path.exists()
+
+
 def test_stats_prints_both_tables(toy_file):
     code, out, _ = run(["stats", "--in", toy_file])
     assert code == 0
@@ -175,6 +191,16 @@ def test_train_tac_writes_checkpoint_and_metrics(tac_ckpt):
     assert 0.0 <= metrics["accuracy"] <= 1.0
     clf = Classifier.load(path)
     assert clf.space.task == "tac"
+
+
+@pytest.mark.parametrize("flags", [["--dim", "0"], ["--batch", "0"], ["--batch", "-1"]])
+def test_train_rejects_a_dimension_or_batch_below_one(ws, toy_file, flags):
+    out_path = ws / "rejected.npz"
+    code, out, err = run(["train", "--task", "tac", *flags, "--in", str(toy_file), "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert "dimension and batch size must be >= 1" in err and "Traceback" not in err
+    assert not out_path.exists()
 
 
 def test_train_pos_metrics(pos_ckpt):

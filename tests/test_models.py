@@ -36,8 +36,9 @@ from proofgym.models import (
     train_argument_model,
     train_classifier,
 )
-from proofgym.embeddings import load_checkpoint, save_checkpoint
+from proofgym.embeddings import CELLS, load_checkpoint, save_checkpoint
 from proofgym.rewrite import DatasetSpec, gen_dataset_records
+from proofgym.sexpr import parse_sexpr
 from proofgym.terms import TermStore
 from proofgym.traces import DatasetError, TacticCall, TraceRecord, bin_depth, record_steps_below
 
@@ -259,7 +260,10 @@ def test_train_config_validation():
         TrainConfig(cell="lstm")
     with pytest.raises(ModelError):
         TrainConfig(level="deep")
-    TrainConfig(cell="treelstm", level="mid")  # valid combinations pass
+    for bad in ({"dim": 0}, {"dim": -4}, {"batch_size": 0}, {"batch_size": -1}):
+        with pytest.raises(ModelError, match=">= 1"):
+            TrainConfig(**bad)
+    TrainConfig(cell="treelstm", level="mid", dim=1, batch_size=1)  # valid combinations pass
 
 
 # -- classifier training ------------------------------------------------------------
@@ -426,6 +430,62 @@ def test_state_and_entry_heads_reject_each_others_calls(store):
     model, states = _checkpoint_case(store, "argument")
     with pytest.raises(ModelError):
         model.predict_proba(store, states)
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_predict_on_one_embedder_matches_fresh_graphs(store, cell):
+    # a goal with a binder, scored again after another state on the same
+    # graph: every subterm and parameter node is reused, and as each binder
+    # subterm sits at the same binder-stream position as on a fresh graph,
+    # the value is a fresh graph's up to the last bits
+    clf = Classifier.create(store, toy_tactic_space(), TrainConfig(cell=cell, dim=16, seed=0))
+    ctx = (("b", store.const("G")),)
+    binder_goal = "(prod x (c G) (app eq (app f (v x) (v b)) (app f (c e) (v x))))"
+    binder = LabeledState("", ctx, parse_sexpr(store, binder_goal))
+    other = LabeledState("", ctx, parse_sexpr(store, "(prod y (c G) (app eq (app f (c e) (v y)) (v b)))"))
+    emb = clf.embedder(store)
+    first = clf.predict(store, binder, emb)
+    clf.predict(store, other, emb)
+    built = len(emb.graph.nodes)
+    again = clf.predict(store, binder, emb)
+    new = emb.graph.nodes[built:]
+    assert not any(node.op in ("param", "const", "gather") for node in new)
+    assert len(new) == (len(ctx) + 1) * (3 if cell == "treelstm" else 1) + 2  # the context fold and the head
+    fresh = clf.predict(store, binder)
+    np.testing.assert_allclose(first, fresh, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(again, fresh, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_predict_reuses_a_binder_subterm_with_its_first_binder_vectors(store, cell):
+    # on one graph a binder subterm keeps the binder vectors of its first
+    # encounter, so a state's values can depend on the states scored before it
+    clf = Classifier.create(store, toy_tactic_space(), TrainConfig(cell=cell, dim=16, seed=0))
+    ctx = (("b", store.const("G")),)
+    p = "(prod x (c G) (app eq (app f (v x) (v b)) (v b)))"
+    q = "(prod y (c G) (app eq (app f (c e) (v y)) (c e)))"
+    alone = LabeledState("", ctx, parse_sexpr(store, p))  # p draws binder vector 0
+    pair = LabeledState("", ctx, parse_sexpr(store, f"(app eq {q} {p})"))  # here p draws vector 1
+    emb = clf.embedder(store)
+    clf.predict(store, alone, emb)
+    after = clf.predict(store, pair, emb)
+    fresh = clf.predict(store, pair)
+    assert np.max(np.abs(after - fresh)) > 1e-6
+    again = clf.embedder(store)
+    clf.predict(store, alone, again)
+    np.testing.assert_array_equal(clf.predict(store, pair, again), after)  # the same order gives the same values
+
+
+def test_predict_refuses_an_embedder_of_another_model_or_store(store):
+    clf = Classifier.create(store, toy_tactic_space(), TrainConfig(dim=16, seed=0))
+    state = LabeledState("", (), parse_sexpr(store, "(app eq (app f (c e) (c m)) (c e))"))
+    other_clf = Classifier.create(store, toy_tactic_space(), TrainConfig(dim=16, seed=1))
+    other_store = TermStore()
+    declare_domain(other_store)
+    for emb in (other_clf.embedder(store), clf.embedder(other_store)):
+        with pytest.raises(ModelError, match="another model or term store"):
+            clf.predict(store, state, emb)
+    clf.predict(store, state, clf.embedder(store))
 
 
 def test_classifier_checkpoint_keeps_eq_map(store, tmp_path):

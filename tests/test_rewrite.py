@@ -102,6 +102,15 @@ def test_gen_theorems_infeasible_request(store):
         gen_theorems(store, DatasetSpec(n_train=5, n_test=5, length=1, seed=0))
 
 
+@pytest.mark.parametrize(
+    "n_train,n_test,length,message",
+    [(-1, 2, 5, "counts"), (3, -2, 5, "counts"), (0, -1, 5, "counts"), (6, 2, 0, "length"), (0, 0, -3, "length")],
+)
+def test_gen_theorems_rejects_negative_counts_and_lengths(store, n_train, n_test, length, message):
+    with pytest.raises(GenerationError, match=message):
+        gen_theorems(store, DatasetSpec(n_train=n_train, n_test=n_test, length=length, seed=0))
+
+
 def test_gen_theorems_proofs_attached(store):
     train, _ = gen_theorems(store, DatasetSpec(n_train=2, n_test=1, length=5, seed=3))
     for thm in train:

@@ -306,7 +306,7 @@ def test_model_predictor_short_circuits_reflexivity(store):
     assert predictor.propose(store, (), goal) == Reflexivity()
 
 
-# -- the per-theorem inference cache ----------------------------------------------------
+# -- the per-theorem inference graph ----------------------------------------------------
 
 
 class UncachedPredictor:
@@ -340,10 +340,12 @@ def _trained_prover(cell, length):
 
 @contextmanager
 def counting_graph_nodes(counts):
+    """Per forward run: (nodes computed before it, nodes it adds, param nodes among them)."""
     original = models.run_forward
 
     def counted(graph, *args, **kwargs):
-        counts.append(len(graph.nodes))
+        new = graph.nodes[graph.computed :]
+        counts.append((graph.computed, len(new), sum(node.op == "param" for node in new)))
         return original(graph, *args, **kwargs)
 
     models.run_forward = counted
@@ -370,9 +372,13 @@ def test_cached_prover_matches_uncached_predict(cell, length):
         assert cached._probs.keys() == fresh.probs.keys()
         for key, probs in fresh.probs.items():
             np.testing.assert_allclose(cached._probs[key], probs, rtol=1e-9, atol=0)
-    # each state is scored once, and reused subterms build no nodes
+    # each state is scored once, on its theorem's graph: only the graph's
+    # first run builds parameter nodes, and reused subterms build no nodes
     assert len(cached_nodes) < len(fresh_nodes)
-    assert sum(cached_nodes) < 0.8 * sum(fresh_nodes)
+    assert all((computed == 0) == (params > 0) for computed, _, params in cached_nodes)
+    assert any(computed > 0 for computed, _, _ in cached_nodes)
+    assert all(computed == 0 for computed, _, _ in fresh_nodes)
+    assert sum(added for _, added, _ in cached_nodes) < 0.5 * sum(added for _, added, _ in fresh_nodes)
 
 
 def test_run_benchmark_keeps_nothing_between_theorems():
@@ -385,16 +391,17 @@ def test_run_benchmark_keeps_nothing_between_theorems():
             report = run_benchmark(store, theorems[:1], predictor)
         assert report.n == 1
     assert runs[0] == runs[1] and runs[0]
-    assert not predictor._known and not predictor._probs  # every theorem proves with a fresh() copy
+    assert predictor._emb is None and not predictor._probs  # every theorem proves with a fresh() copy
 
 
 def test_model_predictor_drops_its_caches_for_another_store():
     store, clf, theorems = _trained_prover("gru", 10)
     predictor = ModelPredictor(clf)
     synthesize(store, theorems[0].statement, predictor, fallback=True)
-    assert predictor._known and predictor._probs
+    assert predictor._emb.store is store and predictor._probs
     other = TermStore()
     declare_domain(other)
     goal = parse_sexpr(other, "(app eq (app f (c e) (v b)) (v b))")
     predictor.propose(other, (("b", other.const("G")),), goal)
+    assert predictor._emb.store is other and predictor._emb.graph.computed > 0
     assert len(predictor._probs) == 1
