@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .embeddings import CELLS
+from .embeddings import CELLS, EmbeddingError
 from .engine import BadTactic, EngineError, declare_domain, parse_tactic, start_session, tactic_text
 from .models import (
     Classifier,
@@ -49,6 +49,7 @@ from .traces import (
 KNOWN_ERRORS = (
     TermError,
     EngineError,
+    EmbeddingError,
     DatasetError,
     ModelError,
     GenerationError,

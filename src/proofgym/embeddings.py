@@ -2,16 +2,19 @@
 
 Every AST node folds its children's embeddings with a recurrent cell: a
 composition at an App or Prod node feeds the node-kind vector first, starting
-from a zero hidden state. Bound variables embed to vectors drawn from a
-counter-based stream keyed by (pass_seed, stream, index), so a renamed binder
-embeds identically within a pass and differently across passes. The embedder
-memoizes per (term, free-variable bindings, implicit-mode) so shared subterms
-cost one subgraph and gradients accumulate through the sharing.
+from a zero hidden state. A bound variable embeds to a per-pass random vector
+keyed by (pass_seed, number of binders in its product's body). Nested scopes
+hold strictly fewer binders, so binders in scope of each other draw distinct
+vectors, and alpha-equivalent subterms embed identically wherever they sit
+within a pass and differently across passes. A subterm's embedding is thus a
+function of (term, free-variable bindings, implicit-mode), the key the
+embedder memoizes on, so shared subterms cost one subgraph and gradients
+accumulate through the sharing.
 
 The memo lives on the graph, so an embedder that adds state after state to
 one graph (the prover's, one per theorem) builds each subterm once: a
-context slot is one node per graph, and a subterm keeps the binder vectors
-of its first encounter in the graph.
+context slot is one node per graph, and every state gets the values a fresh
+graph would give it, up to the last bits of batched arithmetic.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ class UnknownSymbol(EmbeddingError):
     pass
 
 
-def default_dropout(cell: str) -> float:
-    return 0.1 if cell == "treelstm" else 0.0
+# Training dropout rate per cell; a cell not listed trains without dropout.
+DROPOUT = {"treelstm": 0.1}
 
 
 @dataclass(frozen=True)
@@ -51,14 +54,12 @@ class EmbedConfig:
     cell: str = "gru"
     dim: int = 128
     drop_implicit: bool = False
-    dropout: float | None = None  # None: cell default (0.1 for treelstm)
     train: bool = False
     pass_seed: int = 0
 
     @property
     def rate(self) -> float:
-        rate = default_dropout(self.cell) if self.dropout is None else self.dropout
-        return rate if self.train else 0.0
+        return DROPOUT.get(self.cell, 0.0) if self.train else 0.0
 
 
 _CELL_GATES = {"tanh": ("",), "gru": ("z", "r", "h"), "treelstm": ("i", "f", "o", "u")}
@@ -85,20 +86,23 @@ class EmbedParams:
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(dim)
         vocab = sorted(set(symbols))
+        rows = {"kind_table": len(KIND_ORDER), "symbol_table": max(len(vocab), 1)}
         tensors: dict[str, Tensor] = {}
-
-        def table(name: str, rows: int) -> None:
-            tensors[name] = Tensor(name, rng.standard_normal((rows, dim)) * scale)
-
-        table("kind_table", len(KIND_ORDER))
-        table("symbol_table", max(len(vocab), 1))
-        for prefix in ("term", "ctx"):
-            for gate in _CELL_GATES[cell]:
-                for part, shape in (("W", (dim, dim)), ("U", (dim, dim)), ("b", (dim,))):
-                    name = f"{prefix}_{part}{gate}"
-                    init = np.zeros(shape) if part == "b" else rng.uniform(-scale, scale, shape)
-                    tensors[name] = Tensor(name, init)
+        for name in tensor_names(cell):
+            if name in rows:
+                init = rng.standard_normal((rows[name], dim)) * scale
+            elif "_b" in name:
+                init = np.zeros(dim)
+            else:
+                init = rng.uniform(-scale, scale, (dim, dim))
+            tensors[name] = Tensor(name, init)
         return cls(tensors, {s: i for i, s in enumerate(vocab)}, cell, dim)
+
+
+def tensor_names(cell: str) -> list[str]:
+    """The tensors `EmbedParams.create` makes for `cell`, in draw order."""
+    weights = (f"{prefix}_{part}{gate}" for prefix in ("term", "ctx") for gate in _CELL_GATES[cell] for part in "WUb")
+    return ["kind_table", "symbol_table", *weights]
 
 
 State = tuple[int, int | None]  # (hidden nid, cell-state nid for treelstm)
@@ -122,10 +126,6 @@ class StateEmbedder:
         self.store = store
         self.cfg = cfg
         self.memoize = memoize
-        self._binder_ix = 0
-        # First-encounter stream position per memo key, so unshared traversals
-        # assign repeated subterms the same binder vectors a memoized one would.
-        self._binder_starts: dict[tuple, int] = {}
         self._weights: dict[str, tuple[int, ...]] = {}
 
     # -- building blocks -------------------------------------------------------
@@ -139,27 +139,21 @@ class StateEmbedder:
     def _param(self, name: str) -> int:
         return self.graph.param(self.params.tensors[name])
 
-    def _recurrent(self, name: str) -> int:
-        """Recurrent weight, with one weight-dropout mask per pass."""
-        nid = self._param(name)
+    def _dropout(self, key: tuple, nid: int) -> int:
+        """`nid` under one dropout mask per key and pass; `nid` itself at rate 0."""
         if self.cfg.rate <= 0.0:
             return nid
-        key = ("wdrop", name)
         hit = self.graph.memo.get(key)
         if hit is None:
-            hit = self.graph.dropout(nid, self.cfg.rate)
-            self.graph.memo[key] = hit
+            hit = self.graph.memo[key] = self.graph.dropout(nid, self.cfg.rate)
         return hit
 
+    def _recurrent(self, name: str) -> int:
+        """Recurrent weight, with one weight-dropout mask per pass."""
+        return self._dropout(("wdrop", name), self._param(name))
+
     def _dropped(self, x: int) -> int:
-        if self.cfg.rate <= 0.0:
-            return x
-        key = ("idrop", x)
-        hit = self.graph.memo.get(key)
-        if hit is None:
-            hit = self.graph.dropout(x, self.cfg.rate)
-            self.graph.memo[key] = hit
-        return hit
+        return self._dropout(("idrop", x), x)
 
     def _cell_weights(self, prefix: str) -> tuple[int, ...]:
         """(W, U, b) per gate of the cell, in the order its fused node takes
@@ -177,11 +171,9 @@ class StateEmbedder:
             )
         return hit
 
-    def _step_tanh(self, prefix: str, x: int, h: int) -> int:
-        return self.graph.tanh_cell(x, h, self._cell_weights(prefix))
-
-    def _step_gru(self, prefix: str, x: int, h: int) -> int:
-        return self.graph.gru_cell(x, h, self._cell_weights(prefix))
+    def _step(self, prefix: str, x: int, h: int) -> int:
+        cell = self.graph.tanh_cell if self.cfg.cell == "tanh" else self.graph.gru_cell
+        return cell(x, h, self._cell_weights(prefix))
 
     def _compose_lstm(self, prefix: str, x: int, children: list[State]) -> State:
         # Child-sum: one forget gate per child, shared input/output/update gates.
@@ -193,11 +185,9 @@ class StateEmbedder:
         x = self._dropped(kind_vec)
         if self.cfg.cell == "treelstm":
             return self._compose_lstm(prefix, x, children)
-        h = self._zeros()
-        step = self._step_tanh if self.cfg.cell == "tanh" else self._step_gru
-        h = step(prefix, x, h)
+        h = self._step(prefix, x, self._zeros())
         for child_h, _ in children:
-            h = step(prefix, self._dropped(child_h), h)
+            h = self._step(prefix, self._dropped(child_h), h)
         return (h, None)
 
     def _fold_seq(self, prefix: str, inputs: list[State]) -> State:
@@ -207,9 +197,8 @@ class StateEmbedder:
                 state = self._compose_lstm(prefix, self._dropped(h_in), [state])
             return state
         h = self._zeros()
-        step = self._step_tanh if self.cfg.cell == "tanh" else self._step_gru
         for h_in, _ in inputs:
-            h = step(prefix, self._dropped(h_in), h)
+            h = self._step(prefix, self._dropped(h_in), h)
         return (h, None)
 
     def _kind_vec(self, kind: str) -> int:
@@ -221,16 +210,16 @@ class StateEmbedder:
             raise UnknownSymbol(f"symbol {symbol!r} is not in the embedding vocabulary")
         return self.graph.gather(self._param("symbol_table"), row)
 
-    def _binder_vec(self) -> int:
-        ix = self._binder_ix
-        self._binder_ix += 1
+    def _binder_vec(self, prod: Prod) -> int:
+        # Keyed by the binders below it: nested scopes count strictly fewer,
+        # so binders in scope of each other draw distinct vectors.
+        ix = self.store.binder_count(prod.body)
         return self.graph.pass_const(self.cfg.pass_seed, (BINDER_STREAM, ix), self.params.dim)
 
     # -- terms -------------------------------------------------------------------
 
     def embed_term(self, tid: TermId, env: dict[str, State] | None = None) -> int:
-        """Embedding node of one term; the binder stream restarts per call."""
-        self._binder_ix = 0
+        """Embedding node of one term, with free variables bound by `env`."""
         try:
             return self._embed(tid, env or {})[0]
         except RecursionError:
@@ -246,17 +235,7 @@ class StateEmbedder:
         if self.memoize:
             hit = self.graph.memo.get(key)
             if hit is not None:
-                # Keep the draw counter where an unshared traversal would leave it.
-                self._binder_ix += store.binder_count(tid)
                 return hit
-        resume = None
-        start = self._binder_starts.setdefault(key, self._binder_ix)
-        if start != self._binder_ix:
-            # Re-encounter without a memo hit: rewind to the first encounter's
-            # position so the rebuilt nodes draw identical binder vectors, then
-            # resume as if the draws had been consumed in place.
-            resume = self._binder_ix + store.binder_count(tid)
-            self._binder_ix = start
         term = store.term(tid)
         if isinstance(term, Var):
             state = env[term.name]
@@ -265,20 +244,16 @@ class StateEmbedder:
         elif isinstance(term, App):
             children = [self._embed(term.head, env)]
             for child, implicit in term.args:
-                if implicit and self.cfg.drop_implicit:
-                    self._binder_ix += store.binder_count(child)
-                    continue
-                children.append(self._embed(child, env))
+                if not (implicit and self.cfg.drop_implicit):
+                    children.append(self._embed(child, env))
             state = self._compose("term", self._kind_vec("App"), children)
         else:
             ty_state = self._embed(term.ty, env)
-            binder_state = self._leaf(self._binder_vec())
+            binder_state = self._leaf(self._binder_vec(term))
             body_state = self._embed(term.body, {**env, term.binder: binder_state})
             state = self._compose("term", self._kind_vec("Prod"), [ty_state, body_state])
         if self.memoize:
             self.graph.memo[key] = state
-        if resume is not None:
-            self._binder_ix = resume
         return state
 
     # -- proof states ---------------------------------------------------------------
@@ -300,13 +275,11 @@ class StateEmbedder:
         entries: list[int] = []
         try:
             for i, (name, ty) in enumerate(ctx):
-                self._binder_ix = 0
                 st = self._embed(ty, env)
                 inputs.append(st)
                 entries.append(st[0])
                 v = self.graph.pass_const(self.cfg.pass_seed, (CTX_STREAM, i), self.params.dim)
                 env[name] = self._leaf(v)
-            self._binder_ix = 0
             inputs.append(self._embed(goal, env))
         except RecursionError:
             raise EmbeddingError("proof state is nested too deeply to embed") from None
@@ -327,7 +300,9 @@ def save_checkpoint(path: str, tensors: dict[str, Tensor], meta: dict) -> None:
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     with np.load(path) as data:
-        payload = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+        payload = json.loads(bytes(data["__meta__"]).decode("utf-8")) if "__meta__" in data.files else None
+        if not isinstance(payload, dict) or not isinstance(payload.get("meta"), dict):
+            raise EmbeddingError(f"{path} holds no checkpoint metadata")
         if payload.get("format_version") != 1:
             raise EmbeddingError(f"unsupported checkpoint version {payload.get('format_version')}")
         arrays = {

@@ -26,6 +26,7 @@ from .embeddings import (
     StateEmbedder,
     load_checkpoint,
     save_checkpoint,
+    tensor_names,
 )
 from .engine import Law, Rewrite, tactic_from_call, tactic_text
 from .rewrite import TEST_PREFIX
@@ -344,8 +345,7 @@ class Classifier:
     def predict(self, store: TermStore, state: LabeledState, emb: StateEmbedder | None = None) -> np.ndarray:
         """Distribution over 1-based class ids for one state. Given `emb` (from
         `embedder`), only the nodes the state adds to its graph are computed;
-        the result can then depend on earlier states, in the last bits and in
-        the binder vectors a reused binder subterm kept from its first use."""
+        the result can then differ from a fresh graph's in its last bits."""
         self._states_only()
         if emb is None:
             emb = self.embedder(store)
@@ -378,7 +378,15 @@ class Classifier:
         arrays, meta = load_checkpoint(path)
         if meta.get("model") not in _HEADS:
             raise ModelError(f"checkpoint holds no known model kind: {meta.get('model')!r}")
+        missing = [key for key in ("task", "cell", "dim", "level", "symbols") if key not in meta]
+        if missing:
+            raise ModelError(f"checkpoint meta lacks {missing[0]!r}")
+        if meta["cell"] not in CELLS:
+            raise ModelError(f"checkpoint cell {meta['cell']!r} is not one of {', '.join(CELLS)}")
         weight, bias, _, _ = _HEADS[meta["model"]]
+        missing = [name for name in (*tensor_names(meta["cell"]), weight, bias) if name not in arrays]
+        if missing:
+            raise ModelError(f"checkpoint lacks tensor {missing[0]!r}")
         tensors = {name: Tensor(name, arr) for name, arr in arrays.items() if name not in (weight, bias)}
         embed = EmbedParams(tensors, {s: i for i, s in enumerate(meta["symbols"])}, meta["cell"], meta["dim"])
         # argument checkpoints may leave out their fixed class names

@@ -5,7 +5,8 @@ test; it never touches the library's backward pass. The depth-first rewrite
 search is the reference the reachability oracle in `proofgym.rewrite` must
 agree with, proof for proof, and the recurrent steps composed of primitive
 nodes are the reference for the fused `gru_cell`, `tanh_cell` and
-`treelstm_cell` nodes.
+`treelstm_cell` nodes. `term_strategy` draws the random terms that property
+tests share.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
+from hypothesis import strategies as st
 
 from proofgym.autodiff import CompGraph, Tensor, forward_backward
 from proofgym.embeddings import State, StateEmbedder
@@ -72,11 +74,9 @@ def primitive_gate(self: StateEmbedder, prefix: str, gate: str, x: int, h: int) 
     return g.add(g.add(wx, uh), self._param(f"{prefix}_b{gate}"))
 
 
-def primitive_step_tanh(self: StateEmbedder, prefix: str, x: int, h: int) -> int:
-    return self.graph.tanh(primitive_gate(self, prefix, "", x, h))
-
-
-def primitive_step_gru(self: StateEmbedder, prefix: str, x: int, h: int) -> int:
+def primitive_step(self: StateEmbedder, prefix: str, x: int, h: int) -> int:
+    if self.cfg.cell == "tanh":
+        return self.graph.tanh(primitive_gate(self, prefix, "", x, h))
     g = self.graph
     z = g.sigmoid(primitive_gate(self, prefix, "z", x, h))
     r = g.sigmoid(primitive_gate(self, prefix, "r", x, h))
@@ -101,8 +101,7 @@ def primitive_compose_lstm(self: StateEmbedder, prefix: str, x: int, children: l
 
 
 _PRIMITIVE = {
-    "_step_tanh": primitive_step_tanh,
-    "_step_gru": primitive_step_gru,
+    "_step": primitive_step,
     "_compose_lstm": primitive_compose_lstm,
 }
 
@@ -195,6 +194,36 @@ def deep_term(store: TermStore, depth: int) -> TermId:
 def deep_text(depth: int) -> str:
     """The s-expression of `deep_term(store, depth)`, written without the printer."""
     return f"(app {OP_SYMBOL} (c {LEFT_IDENTITY}) " * depth + f"(v {GOAL_VAR})" + ")" * depth
+
+
+# -- random terms --------------------------------------------------------------------
+
+
+@st.composite
+def term_strategy(draw, depth=0):
+    kind = draw(st.sampled_from(["var", "const", "app", "prod"] if depth < 3 else ["var", "const"]))
+    if kind == "var":
+        return ("var", draw(st.sampled_from("xyz")))
+    if kind == "const":
+        return ("const", draw(st.sampled_from(["e", "m", "G"])))
+    if kind == "app":
+        left = draw(term_strategy(depth=depth + 1))
+        right = draw(term_strategy(depth=depth + 1))
+        return ("app", left, right)
+    ty = draw(term_strategy(depth=depth + 1))
+    body = draw(term_strategy(depth=depth + 1))
+    return ("prod", draw(st.sampled_from("xyz")), ty, body)
+
+
+def build(store: TermStore, spec: tuple) -> TermId:
+    """Intern a `term_strategy` spec; apps use the binary symbol `f`."""
+    if spec[0] == "var":
+        return store.var(spec[1])
+    if spec[0] == "const":
+        return store.const(spec[1])
+    if spec[0] == "app":
+        return store.app(store.const("f"), [build(store, spec[1]), build(store, spec[2])])
+    return store.prod(spec[1], build(store, spec[2]), build(store, spec[3]))
 
 
 # -- synthetic generic corpus -------------------------------------------------------

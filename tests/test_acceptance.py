@@ -327,10 +327,32 @@ def test_criterion_6_alpha_invariance():
     emb.embed_term(triple)
     one_vector = sum(key[0] == "pass_const" for key in g.memo) == 1
 
+    # Πx:G. Πy:G. f x y against f y x: nested binders must not share a vector
+    def nested(first: str, second: str):
+        body = store.app(f, [store.var(first), store.var(second)])
+        return store.prod("x", G, store.prod("y", G, body))
+
+    distinct = not np.array_equal(embed_alone(nested("x", "y"), 0), embed_alone(nested("y", "x"), 0))
+
+    # a binder subterm embedded alone, then reused after another term on the
+    # same graph, gives the value it has on a fresh graph
+    reused = store.app(f, [ident_y, triple])
+    g = CompGraph()
+    emb = StateEmbedder(g, params, store, EmbedConfig(cell="gru", dim=16, pass_seed=0))
+    emb.embed_term(triple)
+    run_forward(g)
+    nid = emb.embed_term(reused)
+    run_forward(g)
+    fresh = embed_alone(reused, 0)
+    shared_delta = float(np.max(np.abs(g.nodes[nid].value - fresh)) / np.max(np.abs(fresh)))
+
     report(6, "alpha-invariance and environment semantics", t0, {
         "renaming the binder leaves the embedding bit-identical": alpha,
         "all occurrences of one bound variable share one drawn vector": one_vector,
         "a different pass seed changes the binder embedding": reseeded,
+        "binders in scope of each other draw distinct vectors": distinct,
+        f"a binder subterm embedded after another term on one graph matches a fresh graph "
+        f"({shared_delta:.1e} <= 1e-9)": shared_delta <= 1e-9,
     })
 
 

@@ -10,6 +10,7 @@ import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from helpers import make_generic_corpus
@@ -231,6 +232,50 @@ def test_eval_rejects_a_checkpoint_with_other_depth_bins(ws, pos_ckpt, toy_file)
     code, out, err = run(["eval", "--ckpt", bad, "--in", toy_file])
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "bins" in err
+
+
+def test_eval_and_bench_reject_a_symbol_outside_the_vocabulary(ws, tac_ckpt):
+    path, _ = tac_ckpt
+    # at length 6 both test theorems hold the renamed symbol
+    corpus = ws / "length6.ds"
+    code, _, _ = run(["gen", "--train", "2", "--test", "2", "--length", "6", "--seed", "0", "--out", str(corpus)])
+    assert code == 0
+    text = corpus.read_text(encoding="utf-8")
+    assert "(c m)" in text
+    unknown = ws / "unknown-symbol.ds"
+    unknown.write_text(text.replace("(c m)", "(c zz)"), encoding="utf-8")
+    for argv in (
+        ["eval", "--ckpt", path, "--in", str(unknown)],
+        ["bench", "--ckpt", path, "--in", str(unknown), "--report", str(ws / "zz-report.json")],
+    ):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "'zz'" in err
+
+
+def _rewrite_checkpoint(path, out, version=1, drop_meta=(), drop_tensors=()):
+    arrays, meta = load_checkpoint(path)
+    payload = {"format_version": version, "meta": {k: v for k, v in meta.items() if k not in drop_meta}}
+    blob = np.frombuffer(json.dumps(payload).encode("utf-8"), dtype=np.uint8)
+    np.savez(out, __meta__=blob, **{f"tensor:{k}": v for k, v in arrays.items() if k not in drop_tensors})
+    return str(out)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (dict(version=2), "version 2"),
+        (dict(drop_meta=("symbols",)), "meta lacks 'symbols'"),
+        (dict(drop_tensors=("head_W",)), "tensor 'head_W'"),
+        (dict(drop_tensors=("term_Uz",)), "tensor 'term_Uz'"),
+    ],
+)
+def test_eval_rejects_a_malformed_checkpoint(ws, tac_ckpt, toy_file, edit, message):
+    path, _ = tac_ckpt
+    bad = _rewrite_checkpoint(path, ws / "malformed.npz", **edit)
+    code, out, err = run(["eval", "--ckpt", bad, "--in", toy_file])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err, err
 
 
 def test_train_and_eval_argument_model(ws, generic_file):

@@ -3,17 +3,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from proofgym.autodiff import CompGraph, forward_backward, run_forward
 from proofgym.embeddings import (
     CELLS,
+    DROPOUT,
     EmbedConfig,
     EmbeddingError,
     EmbedParams,
     StateEmbedder,
     UnboundVariable,
     UnknownSymbol,
-    default_dropout,
     load_checkpoint,
     save_checkpoint,
 )
@@ -23,7 +24,7 @@ from proofgym.sexpr import parse_sexpr
 from proofgym.terms import TermStore
 from proofgym.autodiff import Tensor
 
-from helpers import deep_term, primitive_cells
+from helpers import build, deep_term, primitive_cells, term_strategy
 
 DIM = 12
 
@@ -41,7 +42,7 @@ def params(store):
 
 
 def cfg_for(cell="gru", **kw):
-    base = dict(cell=cell, dim=DIM, drop_implicit=False, dropout=None, train=False, pass_seed=1)
+    base = dict(cell=cell, dim=DIM, drop_implicit=False, train=False, pass_seed=1)
     base.update(kw)
     return EmbedConfig(**base)
 
@@ -238,9 +239,12 @@ def _assert_fused_matches_primitive(store, params, cfg, states, batched=True):
     [("gru", 0.0), ("gru", 0.3), ("tanh", 0.0), ("tanh", 0.3), ("treelstm", 0.0), ("treelstm", 0.3)],
 )
 @pytest.mark.parametrize("length", [6, 10, 14])
-def test_fused_cells_match_primitive_reference(store, cell, dropout, batched, length):
+def test_fused_cells_match_primitive_reference(store, cell, dropout, batched, length, monkeypatch):
+    # only TreeLSTM trains with dropout; setting a rate for every cell checks
+    # each fused node against the primitive order of its dropped inputs
+    monkeypatch.setitem(DROPOUT, cell, dropout)
     params = EmbedParams.create(list(store.symbols()), cell, 16, seed=length)
-    cfg = EmbedConfig(cell=cell, dim=16, dropout=dropout, train=dropout > 0, pass_seed=3)
+    cfg = EmbedConfig(cell=cell, dim=16, train=dropout > 0, pass_seed=3)
     rng = random.Random(length)
     g_ty = store.const("G")
     states = [
@@ -291,9 +295,9 @@ def test_drop_implicit_equals_explicit_elision(store):
     assert np.array_equal(dropped, plain)
 
 
-def test_binder_stream_consistent_across_memoized_implicit_skips(store):
-    # Prods inside implicit args consume binder indices even when skipped,
-    # so memoized and unshared traversals agree.
+def test_memoized_equals_naive_across_implicit_skips(store):
+    # Prods inside skipped implicit args, and a repeated subterm, embed the
+    # same memoized and unshared.
     store.declare("pair")
     params = EmbedParams.create(list(store.symbols()), "gru", DIM, seed=0)
     inner_prod = "(prod q (c G) (v q))"
@@ -303,7 +307,6 @@ def test_binder_stream_consistent_across_memoized_implicit_skips(store):
     v_memo = embed_value(store, params, dup, cfg_for(drop_implicit=True), memoize=True, batched=False)
     v_fresh = embed_value(store, params, dup, cfg_for(drop_implicit=True), memoize=False, batched=False)
     assert np.array_equal(v_memo, v_fresh)
-    # draws after the re-encounter continue from the aligned position
     trail = parse_sexpr(store, "(prod s (c G) (v s))")
     outer = store.app(store.const("f"), [dup, trail])
     v_memo = embed_value(store, params, outer, cfg_for(drop_implicit=True), memoize=True, batched=False)
@@ -311,27 +314,81 @@ def test_binder_stream_consistent_across_memoized_implicit_skips(store):
     assert np.array_equal(v_memo, v_fresh)
 
 
+# -- binder vectors -------------------------------------------------------------------
+
+
+def test_alpha_equivalent_siblings_embed_identically(store, params):
+    # each binder's vector is keyed by the binders below it, not by the order
+    # a traversal meets it, so both children draw the same vector
+    px = parse_sexpr(store, "(prod x (c G) (v x))")
+    py = parse_sexpr(store, "(prod y (c G) (v y))")
+    g = CompGraph()
+    emb = StateEmbedder(g, params, store, cfg_for())
+    emb.embed_term(store.app(store.const("f"), [px, py]))
+    kids = [emb.embed_term(px), emb.embed_term(py)]  # memo hits: the nodes inside the app
+    run_forward(g, batched=False)
+    assert np.array_equal(g.nodes[kids[0]].value, g.nodes[kids[1]].value)
+
+
+def test_binders_in_scope_of_each_other_draw_distinct_vectors(store, params):
+    xy = parse_sexpr(store, "(prod x (c G) (prod y (c G) (app eq (v x) (v y))))")
+    yx = parse_sexpr(store, "(prod x (c G) (prod y (c G) (app eq (v y) (v x))))")
+    assert not np.array_equal(embed_value(store, params, xy), embed_value(store, params, yx))
+
+
+def _closed(store, spec):
+    """The spec's term with each free variable bound by an outer product."""
+    tid = build(store, spec)
+    for name in reversed(store.free_vars(tid)):
+        tid = store.prod(name, store.const("G"), tid)
+    return tid
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+@settings(max_examples=60, deadline=None)
+@given(first=term_strategy(), second=term_strategy())
+def test_binder_term_embeds_alike_on_shared_and_fresh_graphs(cell, first, second):
+    store = TermStore()
+    declare_domain(store)
+    params = EmbedParams.create(list(store.symbols()), cell, DIM, seed=2)
+    cfg = cfg_for(cell=cell)
+    a, b = _closed(store, first), _closed(store, second)
+    pair = store.app(store.const("f"), [b, a])
+    # on one graph, `a` is embedded before the pair that reuses it
+    g = CompGraph()
+    emb = StateEmbedder(g, params, store, cfg)
+    emb.embed_term(a)
+    run_forward(g)
+    nid = emb.embed_term(pair)
+    run_forward(g)
+    fresh = embed_value(store, params, pair, cfg)
+    assert np.max(np.abs(g.nodes[nid].value - fresh)) <= 1e-9 * np.max(np.abs(fresh))
+    memo = embed_value(store, params, pair, cfg, memoize=True, batched=False)
+    naive = embed_value(store, params, pair, cfg, memoize=False, batched=False)
+    assert np.array_equal(memo, naive)
+
+
 # -- dropout configuration ------------------------------------------------------------
 
 
 def test_default_dropout_per_cell():
-    assert default_dropout("treelstm") == 0.1
-    assert default_dropout("gru") == 0.0
-    assert default_dropout("tanh") == 0.0
+    assert EmbedConfig(cell="treelstm", train=True).rate == 0.1
+    assert EmbedConfig(cell="gru", train=True).rate == 0.0
+    assert EmbedConfig(cell="tanh", train=True).rate == 0.0
 
 
 def test_eval_mode_forces_zero_rate(store):
-    cfg = EmbedConfig(cell="treelstm", dim=DIM, drop_implicit=False, dropout=0.5, train=False, pass_seed=1)
+    cfg = EmbedConfig(cell="treelstm", dim=DIM, drop_implicit=False, train=False, pass_seed=1)
     assert cfg.rate == 0.0
-    cfg_train = EmbedConfig(cell="treelstm", dim=DIM, drop_implicit=False, dropout=0.5, train=True, pass_seed=1)
-    assert cfg_train.rate == 0.5
+    cfg_train = EmbedConfig(cell="treelstm", dim=DIM, drop_implicit=False, train=True, pass_seed=1)
+    assert cfg_train.rate == 0.1
 
 
 def test_train_dropout_applies_masks(store):
     params = EmbedParams.create(list(store.symbols()), "treelstm", DIM, seed=0)
     goal = parse_sexpr(store, "(app eq (app f (c e) (v b)) (v b))")
     g_ty = parse_sexpr(store, "(c G)")
-    cfg = EmbedConfig(cell="treelstm", dim=DIM, drop_implicit=False, dropout=0.3, train=True, pass_seed=1)
+    cfg = EmbedConfig(cell="treelstm", dim=DIM, drop_implicit=False, train=True, pass_seed=1)
     g = CompGraph(dropout_seed=5)
     emb = StateEmbedder(g, params, store, cfg)
     emb.embed_state((("b", g_ty),), goal)
@@ -361,6 +418,17 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     blob = np.frombuffer(json.dumps({"format_version": 99, "meta": {}}).encode(), dtype=np.uint8)
     np.savez(path, __meta__=blob)
     with pytest.raises(Exception):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("meta", [None, {"format_version": 1}, ["meta"]], ids=["absent", "no-meta", "list"])
+def test_checkpoint_without_metadata_rejected(tmp_path, meta):
+    import json
+
+    path = str(tmp_path / "bare.npz")
+    blobs = {} if meta is None else {"__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
+    np.savez(path, x=np.zeros(2), **blobs)
+    with pytest.raises(EmbeddingError, match="no checkpoint metadata"):
         load_checkpoint(path)
 
 

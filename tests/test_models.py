@@ -412,6 +412,16 @@ def test_load_rejects_unknown_model_kind(store, tmp_path):
         Classifier.load(path)
 
 
+def test_load_rejects_an_unknown_cell(store, tmp_path):
+    model, _ = _checkpoint_case(store, "classifier")
+    path = str(tmp_path / "cell.npz")
+    model.save(path)
+    _, meta = load_checkpoint(path)
+    save_checkpoint(path, model.tensors(), {**meta, "cell": "lstm"})
+    with pytest.raises(ModelError, match="cell 'lstm'"):
+        Classifier.load(path)
+
+
 def test_load_rejects_depth_bins_other_than_the_fixed_ones(store, tmp_path):
     model, _ = _checkpoint_case(store, "classifier")
     path = str(tmp_path / "bins.npz")
@@ -457,20 +467,21 @@ def test_predict_on_one_embedder_matches_fresh_graphs(store, cell):
 
 
 @pytest.mark.parametrize("cell", CELLS)
-def test_predict_reuses_a_binder_subterm_with_its_first_binder_vectors(store, cell):
-    # on one graph a binder subterm keeps the binder vectors of its first
-    # encounter, so a state's values can depend on the states scored before it
+def test_predict_after_a_binder_subterm_matches_a_fresh_graph(store, cell):
+    # a binder subterm reused from an earlier state keeps the vectors a fresh
+    # graph draws for it, so a state's values do not depend on the states
+    # predicted before it
     clf = Classifier.create(store, toy_tactic_space(), TrainConfig(cell=cell, dim=16, seed=0))
     ctx = (("b", store.const("G")),)
     p = "(prod x (c G) (app eq (app f (v x) (v b)) (v b)))"
     q = "(prod y (c G) (app eq (app f (c e) (v y)) (c e)))"
-    alone = LabeledState("", ctx, parse_sexpr(store, p))  # p draws binder vector 0
-    pair = LabeledState("", ctx, parse_sexpr(store, f"(app eq {q} {p})"))  # here p draws vector 1
+    alone = LabeledState("", ctx, parse_sexpr(store, p))
+    pair = LabeledState("", ctx, parse_sexpr(store, f"(app eq {q} {p})"))
     emb = clf.embedder(store)
     clf.predict(store, alone, emb)
     after = clf.predict(store, pair, emb)
     fresh = clf.predict(store, pair)
-    assert np.max(np.abs(after - fresh)) > 1e-6
+    assert np.max(np.abs(after - fresh)) <= 1e-9 * np.max(np.abs(fresh))
     again = clf.embedder(store)
     clf.predict(store, alone, again)
     np.testing.assert_array_equal(clf.predict(store, pair, again), after)  # the same order gives the same values

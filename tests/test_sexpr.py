@@ -4,8 +4,7 @@ from hypothesis import given
 from proofgym.sexpr import ParseError, parse_sexpr, print_sexpr
 from proofgym.terms import TermError, TermStore
 
-from helpers import *  # noqa: F401,F403  (hypothesis profile side effects none)
-from test_terms import build, term_strategy
+from helpers import build, deep_term, deep_text, term_strategy
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from proofgym.terms import (
     App,
@@ -20,6 +20,8 @@ from proofgym.terms import (
     replace_at,
     subterm_at,
 )
+
+from helpers import build, term_strategy
 
 
 @pytest.fixture
@@ -238,32 +240,6 @@ def test_alpha_eq_distinguishes_structure(store):
     t1 = store.prod("x", g, store.var("x"))
     t2 = store.prod("x", g, store.const("e"))
     assert not alpha_eq(store, t1, t2)
-
-
-@st.composite
-def term_strategy(draw, depth=0):
-    kind = draw(st.sampled_from(["var", "const", "app", "prod"] if depth < 3 else ["var", "const"]))
-    if kind == "var":
-        return ("var", draw(st.sampled_from("xyz")))
-    if kind == "const":
-        return ("const", draw(st.sampled_from(["e", "m", "G"])))
-    if kind == "app":
-        left = draw(term_strategy(depth=depth + 1))
-        right = draw(term_strategy(depth=depth + 1))
-        return ("app", left, right)
-    ty = draw(term_strategy(depth=depth + 1))
-    body = draw(term_strategy(depth=depth + 1))
-    return ("prod", draw(st.sampled_from("xyz")), ty, body)
-
-
-def build(store, spec):
-    if spec[0] == "var":
-        return store.var(spec[1])
-    if spec[0] == "const":
-        return store.const(spec[1])
-    if spec[0] == "app":
-        return store.app(store.const("f"), [build(store, spec[1]), build(store, spec[2])])
-    return store.prod(spec[1], build(store, spec[2]), build(store, spec[3]))
 
 
 @given(term_strategy())
