@@ -61,9 +61,9 @@ KNOWN_ERRORS = (
 )
 
 
-def _read_dataset(path: str):
+def _read_dataset(path: str, store: TermStore | None = None):
     with open(path, encoding="utf-8") as fh:
-        return read_dataset(fh.read())
+        return read_dataset(fh.read(), store)
 
 
 def _parse_ratio(text: str) -> tuple[int, int, int]:
@@ -263,7 +263,11 @@ def _interactive(store, statement, predictor) -> int:
 
 def cmd_bench(args) -> int:
     clf = Classifier.load(args.ckpt)
-    records, store, manifest = _read_dataset(args.infile)
+    # The oracle that vets fallback steps needs every domain symbol, including
+    # those the file never mentions.
+    store = TermStore()
+    declare_domain(store)
+    records, _, manifest = _read_dataset(args.infile, store)
     theorems = theorems_from_records(store, records, lemma_prefix=TEST_PREFIX)
     report = run_benchmark(store, theorems, ModelPredictor(clf))
     with open(args.report, "w", encoding="utf-8") as fh:

@@ -7,15 +7,40 @@ Grammar:
 
 Identifiers match [A-Za-z_][A-Za-z0-9_']*. Printing is canonical (single
 spaces, constant heads printed bare), so parse(print(t)) is identity.
+
+Parsing finds a bad character and tokenises in two regex passes, then
+reads the tokens recursively; line and column are computed only for a
+ParseError. Each bracketed span that parses is memoised by its tokens
+joined with single spaces, and each bare application head by its symbol,
+so a repeated subterm is read once.
+
+The memo's invariant: a span's id is a function of its tokens and the
+store. Interning is idempotent, and a span that parsed once parses again
+to the same id while the symbol table only grows, as it does within one
+dataset read, where `auto_declare` adds symbols of unchecked arity. So the
+memo belongs to the caller and to one store: `traces.read_dataset` passes
+one per read and drops it after, and a one-shot call makes its own. A span
+enters the memo only once it has parsed, so an error part-way through a
+read leaves the memo sound. Spans wider than `_MEMO_WIDTH` tokens get no
+key, which keeps deeply nested input linear in its length.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import accumulate, repeat
 
 from .terms import App, Const, Prod, TermError, TermId, TermStore, Var
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+TOKEN_RE = re.compile(r"[()]|" + IDENT_RE.pattern)
+# The first character no token can take: one outside identifiers, brackets
+# and blanks, or a digit or prime that does not continue an identifier.
+BAD_RE = re.compile(r"[^A-Za-z0-9_'() \t\r\n]|(?<![A-Za-z0-9_'])[0-9']")
+_DELTA = {"(": 1, ")": -1}
+# Spans wider than this many tokens are read without a memo key, so that
+# finding and joining a span costs at most this much at each nesting level.
+_MEMO_WIDTH = 4096
 
 
 class ParseError(TermError):
@@ -25,134 +50,144 @@ class ParseError(TermError):
         self.col = col
 
 
-class _Tokens:
-    def __init__(self, text: str) -> None:
-        self.toks: list[tuple[str, int, int]] = []
-        line, col = 1, 1
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
-                line += 1
-                col = 1
-                i += 1
-            elif ch in " \t\r":
-                col += 1
-                i += 1
-            elif ch in "()":
-                self.toks.append((ch, line, col))
-                col += 1
-                i += 1
+class _Parser:
+    """One call's tokens, read against the caller's span memo."""
+
+    def __init__(self, store: TermStore, text: str, auto: bool, memo: dict[str, TermId]) -> None:
+        self.store = store
+        self.text = text
+        self.auto = auto
+        self.memo = memo
+        self.toks = toks = TOKEN_RE.findall(text)
+        # Brackets open after each token: the '(' at i is closed by the first
+        # token k >= i with depth[k] == depth[i] - 1.
+        self.depth = list(accumulate(map(_DELTA.get, toks, repeat(0))))
+        self.pos = 0  # the term being read, for the nesting error
+
+    def error(self, message: str, k: int) -> ParseError:
+        """A ParseError at token k; k == len(toks) is the end of input."""
+        starts = [m.start() for m in TOKEN_RE.finditer(self.text)]
+        return _error(self.text, starts[k] if k < len(starts) else len(self.text), message)
+
+    def term(self, i: int) -> tuple[TermId, int]:
+        """The term whose '(' is token i, and the index just past it."""
+        self.pos = i
+        toks = self.toks
+        if i == len(toks):
+            raise self.error("expected a term, found end of input", i)
+        if toks[i] != "(":
+            raise self.error(f"expected '(', found {toks[i]!r}", i)
+        try:
+            j = self.depth.index(self.depth[i] - 1, i, i + _MEMO_WIDTH) + 1
+        except ValueError:
+            return self._form(i)  # unclosed or too wide
+        key = " ".join(toks[i:j])
+        tid = self.memo.get(key)
+        if tid is not None:
+            return tid, j
+        tid, end = self._form(i)
+        if end == j:  # as it always is once a form has parsed
+            self.memo[key] = tid
+        return tid, end
+
+    def _form(self, i: int) -> tuple[TermId, int]:
+        toks, store = self.toks, self.store
+        n = len(toks)
+        k = i + 1
+        if k == n:
+            raise self.error("expected a form keyword, found end of input", k)
+        kw = toks[k]
+        if kw == "v":
+            name = self._ident(k + 1, "a variable name")
+            end = self._close(k + 2)
+            return store.var(name), end
+        if kw == "c":
+            symbol = self._ident(k + 1, "a constant symbol")
+            end = self._close(k + 2)
+            return self._const(symbol), end
+        if kw == "app":
+            k += 1
+            if k == n:
+                raise self.error("expected an application head, found end of input", k)
+            if toks[k] == "(":
+                head, k = self.term(k)
             else:
-                m = IDENT_RE.match(text, i)
-                if m is None:
-                    raise ParseError(f"unexpected character {ch!r}", line, col)
-                self.toks.append((m.group(), line, col))
-                col += len(m.group())
-                i = m.end()
-        self.pos = 0
-        self.end = (line, col)
+                symbol = self._ident(k, "an application head")
+                head = self.memo.get(symbol)
+                if head is None:
+                    head = self.memo[symbol] = self._const(symbol)
+                k += 1
+            args: list[tuple[TermId, bool]] = []
+            while True:
+                if k == n:
+                    raise self.error("unclosed application", k)
+                tok = toks[k]
+                if tok == ")":
+                    break
+                if tok != "(":
+                    raise self.error(f"expected '(', found {tok!r}", k)
+                if k + 1 < n and toks[k + 1] == "impl":
+                    arg, k = self.term(k + 2)
+                    k = self._close(k)
+                    args.append((arg, True))
+                else:
+                    arg, k = self.term(k)
+                    args.append((arg, False))
+            if not args:
+                raise self.error("application needs at least one argument", i + 1)
+            return store.app(head, args), k + 1
+        if kw == "prod":
+            binder = self._ident(k + 1, "a binder name")
+            ty, k = self.term(k + 2)
+            body, k = self.term(k)
+            k = self._close(k)
+            return store.prod(binder, ty, body), k
+        raise self.error(f"unknown form {kw!r}", k)
 
-    def peek(self) -> tuple[str, int, int] | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self, what: str) -> tuple[str, int, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {what}, found end of input", *self.end)
-        self.pos += 1
+    def _ident(self, k: int, what: str) -> str:
+        if k == len(self.toks):
+            raise self.error(f"expected {what}, found end of input", k)
+        tok = self.toks[k]
+        if tok == "(" or tok == ")":
+            raise self.error(f"expected {what}, found {tok!r}", k)
         return tok
 
+    def _close(self, k: int) -> int:
+        if k == len(self.toks):
+            raise self.error("expected ')', found end of input", k)
+        if self.toks[k] != ")":
+            raise self.error(f"expected ')', found {self.toks[k]!r}", k)
+        return k + 1
 
-def parse_sexpr(store: TermStore, text: str, auto_declare: bool = False) -> TermId:
-    """Parse one term and intern it. `auto_declare` admits unseen constants."""
-    toks = _Tokens(text)
+    def _const(self, symbol: str) -> TermId:
+        if self.auto and not self.store.is_declared(symbol):
+            self.store.declare(symbol)
+        return self.store.const(symbol)
+
+
+def _error(text: str, offset: int, message: str) -> ParseError:
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+
+
+def parse_sexpr(
+    store: TermStore, text: str, auto_declare: bool = False, *, memo: dict[str, TermId] | None = None
+) -> TermId:
+    """Parse one term and intern it. `auto_declare` admits unseen constants.
+
+    `memo` maps span texts to ids on this store (see the module docstring);
+    without one, the call memoises its own subterms only.
+    """
+    bad = BAD_RE.search(text)
+    if bad is not None:
+        raise _error(text, bad.start(), f"unexpected character {bad.group()!r}")
+    parser = _Parser(store, text, auto_declare, {} if memo is None else memo)
     try:
-        tid = _parse(store, toks, auto_declare)
+        tid, end = parser.term(0)
     except RecursionError:
-        _, line, col = toks.peek() or (None, *toks.end)
-        raise ParseError("term nested too deeply", line, col) from None
-    trailing = toks.peek()
-    if trailing is not None:
-        raise ParseError(f"trailing input {trailing[0]!r}", trailing[1], trailing[2])
+        raise parser.error("term nested too deeply", parser.pos) from None
+    if end < len(parser.toks):
+        raise parser.error(f"trailing input {parser.toks[end]!r}", end)
     return tid
-
-
-def _ident(toks: _Tokens, what: str) -> str:
-    tok, line, col = toks.next(what)
-    if not IDENT_RE.fullmatch(tok):
-        raise ParseError(f"expected {what}, found {tok!r}", line, col)
-    return tok
-
-
-def _const(store: TermStore, symbol: str, auto_declare: bool) -> TermId:
-    if auto_declare and not store.is_declared(symbol):
-        store.declare(symbol)
-    return store.const(symbol)
-
-
-def _parse(store: TermStore, toks: _Tokens, auto: bool) -> TermId:
-    tok, line, col = toks.next("a term")
-    if tok != "(":
-        raise ParseError(f"expected '(', found {tok!r}", line, col)
-    kw, kline, kcol = toks.next("a form keyword")
-    if kw == "v":
-        name = _ident(toks, "a variable name")
-        _close(toks)
-        return store.var(name)
-    if kw == "c":
-        symbol = _ident(toks, "a constant symbol")
-        _close(toks)
-        return _const(store, symbol, auto)
-    if kw == "app":
-        head_tok = toks.peek()
-        if head_tok is None:
-            raise ParseError("expected an application head, found end of input", *toks.end)
-        if head_tok[0] == "(":
-            head = _parse(store, toks, auto)
-        else:
-            head = _const(store, _ident(toks, "an application head"), auto)
-        args: list[tuple[TermId, bool]] = []
-        while True:
-            nxt = toks.peek()
-            if nxt is None:
-                raise ParseError("unclosed application", *toks.end)
-            if nxt[0] == ")":
-                toks.next(")")
-                break
-            args.append(_parse_arg(store, toks, auto))
-        if not args:
-            raise ParseError("application needs at least one argument", kline, kcol)
-        return store.app(head, args)
-    if kw == "prod":
-        binder = _ident(toks, "a binder name")
-        ty = _parse(store, toks, auto)
-        body = _parse(store, toks, auto)
-        _close(toks)
-        return store.prod(binder, ty, body)
-    raise ParseError(f"unknown form {kw!r}", kline, kcol)
-
-
-def _parse_arg(store: TermStore, toks: _Tokens, auto: bool) -> tuple[TermId, bool]:
-    # Lookahead for the (impl ...) wrapper without consuming a plain sexpr.
-    mark = toks.pos
-    tok, line, col = toks.next("an argument")
-    if tok != "(":
-        raise ParseError(f"expected '(', found {tok!r}", line, col)
-    nxt = toks.peek()
-    if nxt is not None and nxt[0] == "impl":
-        toks.next("impl")
-        inner = _parse(store, toks, auto)
-        _close(toks)
-        return (inner, True)
-    toks.pos = mark
-    return (_parse(store, toks, auto), False)
-
-
-def _close(toks: _Tokens) -> None:
-    tok, line, col = toks.next("')'")
-    if tok != ")":
-        raise ParseError(f"expected ')', found {tok!r}", line, col)
 
 
 def print_sexpr(store: TermStore, tid: TermId) -> str:

@@ -101,6 +101,7 @@ def read_dataset(text: str, store: TermStore | None = None) -> tuple[list[TraceR
         raise DatasetError(f"line 1: bad manifest json: {exc}") from exc
 
     table: list[TermId] = []
+    memo: dict[str, TermId] = {}  # subterm spans read so far (see sexpr)
     records: list[TraceRecord] = []
     seen_states: set[tuple[str, int]] = set()
     in_table = True
@@ -119,7 +120,7 @@ def read_dataset(text: str, store: TermStore | None = None) -> tuple[list[TraceR
             if fid != len(table):
                 raise DatasetError(f"line {lineno}: term id {fid} is not dense (expected {len(table)})")
             try:
-                table.append(parse_sexpr(store, sexpr_text, auto_declare=True))
+                table.append(parse_sexpr(store, sexpr_text, auto_declare=True, memo=memo))
             except Exception as exc:
                 raise DatasetError(f"line {lineno}: {exc}") from exc
             continue

@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from tracer import Tracer  # noqa: E402
 
-from proofgym import autodiff, embeddings, models, synthesis  # noqa: E402
+from proofgym import autodiff, embeddings, models, protocol, sexpr, synthesis, terms, traces  # noqa: E402
 from proofgym.engine import declare_domain  # noqa: E402
 from proofgym.rewrite import DatasetSpec, gen_dataset_records  # noqa: E402
 from proofgym.terms import TermStore  # noqa: E402
@@ -32,6 +32,11 @@ HOOKED = [
     (synthesis.ModelPredictor, "propose"),
     (synthesis, "synthesize"),
     (synthesis, "oracle_proof"),
+    (sexpr, "parse_sexpr"),
+    (traces, "parse_sexpr"),
+    (protocol, "parse_sexpr"),
+    (traces, "read_dataset"),
+    (terms.TermStore, "intern"),
 ]
 
 
@@ -43,6 +48,26 @@ def test_tracer_installs_counts_and_removes():
 def test_tracer_on_the_treelstm_path():
     # the `long` workload's cell, with its default dropout
     _traced_step_and_prediction("treelstm", rate=0.1)
+
+
+def test_traced_read_counts_one_parse_per_term_line():
+    store = TermStore()
+    declare_domain(store)
+    records, manifest = gen_dataset_records(store, DatasetSpec(4, 2, 5, seed=0))
+    text = traces.write_dataset(records, store, manifest)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.stage = "load"
+        _, read_store, _ = traces.read_dataset(text)
+    finally:
+        tracer.remove()
+    metrics = tracer.metrics()
+    term_lines = sum(line.startswith("#term ") for line in text.splitlines())
+    assert metrics["sexpr.parse_calls"][0] == term_lines
+    assert metrics["terms.store_nodes"][0] == len(read_store)
+    # interning is idempotent: at least one call per node the read created
+    assert metrics["terms.intern_calls"][0] >= len(read_store)
 
 
 def _traced_step_and_prediction(cell, rate):

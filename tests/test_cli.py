@@ -253,6 +253,23 @@ def test_eval_and_bench_reject_a_symbol_outside_the_vocabulary(ws, tac_ckpt):
         assert err.startswith("error:") and "'zz'" in err
 
 
+def test_bench_names_the_unknown_symbol_when_the_file_lacks_a_domain_symbol(ws, tac_ckpt, toy_file):
+    # With every `m` renamed, the file never declares `m`, which the oracle
+    # vetting fallback steps needs; the first test theorem holds no `zz`.
+    path, _ = tac_ckpt
+    text = open(toy_file, encoding="utf-8").read()
+    assert "(c m)" in text
+    unknown = ws / "no-m.ds"
+    unknown.write_text(text.replace("(c m)", "(c zz)"), encoding="utf-8")
+    for argv in (
+        ["eval", "--ckpt", path, "--in", str(unknown)],
+        ["bench", "--ckpt", path, "--in", str(unknown), "--report", str(ws / "no-m-report.json")],
+    ):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err == "error: symbol 'zz' is not in the embedding vocabulary\n"
+
+
 def _rewrite_checkpoint(path, out, version=1, drop_meta=(), drop_tensors=()):
     arrays, meta = load_checkpoint(path)
     payload = {"format_version": version, "meta": {k: v for k, v in meta.items() if k not in drop_meta}}

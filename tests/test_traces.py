@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from proofgym.engine import declare_domain
 from proofgym.rewrite import DatasetSpec, gen_dataset_records
@@ -19,7 +21,7 @@ from proofgym.traces import (
     write_dataset,
 )
 
-from helpers import make_generic_corpus
+from helpers import build, make_generic_corpus, term_strategy
 
 
 @pytest.fixture
@@ -104,6 +106,23 @@ def test_read_rejects_table_line_after_records(store):
     text = write_dataset(records, store, manifest)
     with pytest.raises(DatasetError):
         read_dataset(text + "#term 99 (c G)\n")
+
+
+@given(term_strategy(), st.data())
+def test_bad_term_line_error_names_its_line_and_position(spec, data):
+    store = TermStore()
+    declare_domain(store)
+    goal = build(store, spec)
+    rec = TraceRecord("lemma", 0, None, (), goal, TacticCall("reflexivity", "reflexivity"), ())
+    lines = write_dataset([rec], store).splitlines()
+    term_lines = [n for n, line in enumerate(lines) if line.startswith("#term ")]
+    n = data.draw(st.sampled_from(term_lines))
+    _, fid, sexpr = lines[n].split(" ", 2)
+    at = data.draw(st.integers(0, len(sexpr)))
+    lines[n] = f"#term {fid} {sexpr[:at]}@{sexpr[at:]}"
+    with pytest.raises(DatasetError) as exc_info:
+        read_dataset("\n".join(lines) + "\n")
+    assert str(exc_info.value) == f"line {n + 1}: unexpected character '@' at line 1, column {at + 1}"
 
 
 def test_read_into_existing_store(store):
