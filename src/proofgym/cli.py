@@ -18,7 +18,6 @@ from .models import (
     TrainConfig,
     evaluate,
     filter_states,
-    load_equivalence_map,
     partition_lemmas,
     pr_curve_csv,
     pr_curve_for,
@@ -119,15 +118,16 @@ def cmd_split(args) -> int:
 
 
 def _lemma_split(records, manifest, seed):
-    """(train, valid, test) lemma sets: the toy partition or the ingested split."""
+    """(train, valid, test) lemma sets: the toy partition for generated
+    datasets, the record-balanced lemma split for any other."""
     if manifest.get("kind") == "toy":
         return partition_lemmas(records, seed=seed)
     split = split_by_lemma(records, seed=seed)
     return set(split.train), set(split.valid), set(split.test)
 
 
-def _partitioned_states(records, manifest, task, eq_map, seed):
-    states, space = states_for_task(records, task, toy=manifest.get("kind") == "toy", eq_map=eq_map)
+def _partitioned_states(records, manifest, task, seed):
+    states, space = states_for_task(records, task)
     train_l, valid_l, test_l = _lemma_split(records, manifest, seed)
     return (
         filter_states(states, train_l),
@@ -139,20 +139,16 @@ def _partitioned_states(records, manifest, task, eq_map, seed):
 
 def cmd_train(args) -> int:
     records, store, manifest = _read_dataset(args.infile)
-    eq_map = load_equivalence_map(args.classes) if args.classes else None
     cfg = TrainConfig(
         cell=args.cell,
         dim=args.dim,
-        level=args.level,
         batch_size=args.batch,
         lr=args.lr,
         max_epochs=args.max_epochs,
         patience=args.patience,
         seed=args.seed,
     )
-    train_states, valid_states, test_states, space = _partitioned_states(
-        records, manifest, args.task, eq_map, args.seed
-    )
+    train_states, valid_states, test_states, space = _partitioned_states(records, manifest, args.task, args.seed)
     _log(
         f"task {args.task}: {len(train_states)} train / {len(valid_states)} valid / "
         f"{len(test_states)} test states"
@@ -168,9 +164,7 @@ def cmd_train(args) -> int:
             "n_test_states": len(test_states),
         }
     else:
-        clf, history = train_classifier(
-            store, train_states, valid_states, space, cfg, eq_map=eq_map, log=_log
-        )
+        clf, history = train_classifier(store, train_states, valid_states, space, cfg, log=_log)
         clf.save(args.out)
         metrics = evaluate(clf, store, test_states)
         metrics["task"] = args.task
@@ -183,11 +177,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     records, store, manifest = _read_dataset(args.infile)
     model = Classifier.load(args.ckpt)
-    toy = model.space.task != "tac-generic"
-    task = model.space.task if toy else "tac"
-    states, _ = states_for_task(records, task, toy=toy, eq_map=model.eq_map)
+    states, _ = states_for_task(records, model.space.task)
     states = _subset(records, states, manifest, args.subset, args.seed)
-    if task == "arg":
+    if model.space.task == "arg":
         curve = pr_curve_for(model, store, states)
         if args.pr_out:
             with open(args.pr_out, "w", encoding="utf-8") as fh:
@@ -316,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a dataset")
     p.add_argument("--task", choices=("pos", "tac", "arg"), required=True)
-    p.add_argument("--level", choices=("kernel", "mid"), default="kernel")
     p.add_argument("--cell", choices=CELLS, default="gru")
     p.add_argument("--dim", type=int, default=128)
     p.add_argument("--batch", type=int, default=32)
@@ -324,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-epochs", type=int, default=50)
     p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--classes", help="tactic equivalence map (raw<TAB>class)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

@@ -7,9 +7,9 @@ keyed by (pass_seed, number of binders in its product's body). Nested scopes
 hold strictly fewer binders, so binders in scope of each other draw distinct
 vectors, and alpha-equivalent subterms embed identically wherever they sit
 within a pass and differently across passes. A subterm's embedding is thus a
-function of (term, free-variable bindings, implicit-mode), the key the
-embedder memoizes on, so shared subterms cost one subgraph and gradients
-accumulate through the sharing.
+function of (term, free-variable bindings), the key the embedder memoizes
+on, so shared subterms cost one subgraph and gradients accumulate through
+the sharing.
 
 The memo lives on the graph, so an embedder that adds state after state to
 one graph (the prover's, one per theorem) builds each subterm once: a
@@ -53,7 +53,6 @@ DROPOUT = {"treelstm": 0.1}
 class EmbedConfig:
     cell: str = "gru"
     dim: int = 128
-    drop_implicit: bool = False
     train: bool = False
     pass_seed: int = 0
 
@@ -86,23 +85,26 @@ class EmbedParams:
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(dim)
         vocab = sorted(set(symbols))
-        rows = {"kind_table": len(KIND_ORDER), "symbol_table": max(len(vocab), 1)}
         tensors: dict[str, Tensor] = {}
-        for name in tensor_names(cell):
-            if name in rows:
-                init = rng.standard_normal((rows[name], dim)) * scale
-            elif "_b" in name:
-                init = np.zeros(dim)
+        for name, shape in tensor_shapes(cell, dim, len(vocab)).items():
+            if name.endswith("_table"):
+                init = rng.standard_normal(shape) * scale
+            elif len(shape) == 1:
+                init = np.zeros(shape)
             else:
-                init = rng.uniform(-scale, scale, (dim, dim))
+                init = rng.uniform(-scale, scale, shape)
             tensors[name] = Tensor(name, init)
         return cls(tensors, {s: i for i, s in enumerate(vocab)}, cell, dim)
 
 
-def tensor_names(cell: str) -> list[str]:
-    """The tensors `EmbedParams.create` makes for `cell`, in draw order."""
-    weights = (f"{prefix}_{part}{gate}" for prefix in ("term", "ctx") for gate in _CELL_GATES[cell] for part in "WUb")
-    return ["kind_table", "symbol_table", *weights]
+def tensor_shapes(cell: str, dim: int, n_symbols: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each tensor `EmbedParams.create` makes, in draw order."""
+    rows = {"kind_table": len(KIND_ORDER), "symbol_table": max(n_symbols, 1)}
+    shapes = {name: (n, dim) for name, n in rows.items()}
+    for prefix in ("term", "ctx"):
+        for gate in _CELL_GATES[cell]:
+            shapes.update({f"{prefix}_W{gate}": (dim, dim), f"{prefix}_U{gate}": (dim, dim), f"{prefix}_b{gate}": (dim,)})
+    return shapes
 
 
 State = tuple[int, int | None]  # (hidden nid, cell-state nid for treelstm)
@@ -231,7 +233,7 @@ class StateEmbedder:
             bindings = tuple(env[name][0] for name in store.free_vars(tid))
         except KeyError as exc:
             raise UnboundVariable(f"variable {exc.args[0]!r} is not bound") from None
-        key = ("emb", tid, bindings, self.cfg.drop_implicit)
+        key = ("emb", tid, bindings)
         if self.memoize:
             hit = self.graph.memo.get(key)
             if hit is not None:
@@ -243,9 +245,7 @@ class StateEmbedder:
             state = self._leaf(self._symbol_vec(term.symbol))
         elif isinstance(term, App):
             children = [self._embed(term.head, env)]
-            for child, implicit in term.args:
-                if not (implicit and self.cfg.drop_implicit):
-                    children.append(self._embed(child, env))
+            children.extend(self._embed(child, env) for child, _ in term.args)
             state = self._compose("term", self._kind_vec("App"), children)
         else:
             ty_state = self._embed(term.ty, env)

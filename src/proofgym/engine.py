@@ -58,13 +58,7 @@ class Reflexivity:
     pass
 
 
-@dataclass(frozen=True)
-class Generic:
-    name: str
-    args: tuple[TacticArg, ...] = ()
-
-
-Tactic = Rewrite | Reflexivity | Generic
+Tactic = Rewrite | Reflexivity
 
 
 @dataclass(frozen=True)
@@ -178,13 +172,7 @@ def rewrite_lhs(store: TermStore, lhs: TermId, tactic: Rewrite) -> TermId:
 class ProofSession:
     """Single-theorem proof-in-progress with its trace log."""
 
-    def __init__(
-        self,
-        store: TermStore,
-        theorem: TermId,
-        lemma: str = "lemma",
-        intro_call: TacticCall | None = None,
-    ) -> None:
+    def __init__(self, store: TermStore, theorem: TermId, lemma: str = "lemma") -> None:
         if store.free_vars(theorem):
             raise OpenTerm(f"theorem has free variables {store.free_vars(theorem)}")
         self.store = store
@@ -207,8 +195,7 @@ class ProofSession:
             top = store.term(body)
         if ctx:
             intro = ProofState(ctx=tuple(ctx), goal=body, sid=self._fresh())
-            call = intro_call or TacticCall("intro", "intro")
-            self._attach(0, call, (intro,), close=False)
+            self._attach(0, TacticCall("intro", "intro"), (intro,), close=False)
 
     # -- internals -----------------------------------------------------------
 
@@ -281,7 +268,7 @@ class ProofSession:
             return self._apply_rewrite(sid, tactic)
         if isinstance(tactic, Reflexivity):
             return self._apply_reflexivity(sid)
-        raise EngineError("generic tactics need explicit child states; use apply_generic")
+        raise BadTactic(f"not a primitive tactic: {tactic!r}")
 
     def _apply_rewrite(self, sid: int, tactic: Rewrite) -> list[int]:
         store = self.store
@@ -303,29 +290,6 @@ class ProofSession:
         call = TacticCall("reflexivity", tactic_text(Reflexivity()))
         self._attach(sid, call, (final,), close=True)
         return CLOSED
-
-    def apply_generic(
-        self,
-        sid: int,
-        call: TacticCall,
-        children: list[tuple[tuple[tuple[str, TermId], ...], TermId]] | None,
-    ) -> list[int] | _Closed:
-        """Graft an externally specified tactic edge.
-
-        `children` lists (ctx, goal) pairs for the new open states; None means
-        the edge closes the state, creating a final child that copies it.
-        """
-        if sid not in self.states:
-            raise EngineError(f"unknown state {sid}")
-        if sid not in self.open_goals:
-            raise StateClosed(f"state {sid} is not open")
-        if children is None:
-            state = self.state(sid)
-            final = ProofState(ctx=state.ctx, goal=state.goal, sid=self._fresh())
-            self._attach(sid, call, (final,), close=True)
-            return CLOSED
-        states = tuple(ProofState(ctx=ctx, goal=goal, sid=self._fresh()) for ctx, goal in children)
-        return self._attach(sid, call, states, close=False)
 
     def export_tree(self) -> list[TraceRecord]:
         """Trace records, one per edge, in application order."""
@@ -352,15 +316,13 @@ def steps_below(session: ProofSession, sid: int) -> int:
 
 
 def tactic_from_call(call: TacticCall) -> Tactic:
-    if call.class_name == "rewrite":
-        tactic = parse_tactic(call.raw)
-        if not isinstance(tactic, Rewrite):
-            raise BadTactic(f"rewrite call {call.raw!r} is not a rewrite")
-        return tactic
-    # Ingested corpora record closing tactics under many raw names.
-    if call.class_name == "reflexivity":
-        return Reflexivity()
-    return Generic(call.raw, call.args)
+    """The primitive tactic a trace call records. Raises BadTactic unless the
+    call is a rewrite or a reflexivity whose class matches its text."""
+    tactic = parse_tactic(call.raw)
+    kind = "reflexivity" if isinstance(tactic, Reflexivity) else "rewrite"
+    if call.class_name != kind:
+        raise BadTactic(f"{call.class_name} call {call.raw!r} is a {kind}")
+    return tactic
 
 
 def replay_trace(store: TermStore, records: list[TraceRecord]) -> ProofSession:
@@ -370,35 +332,15 @@ def replay_trace(store: TermStore, records: list[TraceRecord]) -> ProofSession:
     first = records[0]
     if first.state_id != 0:
         raise ReplayMismatch(f"trace must start at state 0, got {first.state_id}")
-    by_state = {rec.state_id: rec for rec in records}
-    start = 1 if first.tactic.class_name == "intro" and first.parent_id is None else 0
-    intro_call = first.tactic if start == 1 else None
-    session = ProofSession(store, first.goal, lemma=first.lemma, intro_call=intro_call)
-    if start == 1 and session.records[:1] != [first]:
-        got = session.records[0] if session.records else None
-        raise ReplayMismatch(f"intro mismatch: expected {first}, produced {got}")
+    session = ProofSession(store, first.goal, lemma=first.lemma)
+    start = len(session.records)  # the intro edge a product statement opens with
+    if session.records != records[:start]:
+        raise ReplayMismatch(f"intro mismatch: expected {first}, produced {session.records[0]}")
     for rec in records[start:]:
-        tactic = tactic_from_call(rec.tactic)
-        if isinstance(tactic, Reflexivity) and not session.is_final(rec.state_id):
-            # Ingested traces close goals our trivial-equality check cannot
-            # recognize; replay them as generic closing edges instead.
-            tactic = Generic(rec.tactic.raw, rec.tactic.args)
-        if isinstance(tactic, Generic):
-            kids = None
-            if any(child in by_state for child in rec.children):
-                kids = []
-                for child in rec.children:
-                    child_rec = by_state.get(child)
-                    if child_rec is None:
-                        raise ReplayMismatch(f"state {child} has no record and siblings do")
-                    kids.append((child_rec.ctx, child_rec.goal))
-            result = session.apply_generic(rec.state_id, rec.tactic, kids)
-        else:
-            result = session.apply_tactic(rec.state_id, tactic)
+        session.apply_tactic(rec.state_id, tactic_from_call(rec.tactic))
         produced = session.records[-1].children
         if produced != rec.children:
             raise ReplayMismatch(
                 f"children mismatch at state {rec.state_id}: {produced} != {rec.children}"
             )
-        del result
     return session

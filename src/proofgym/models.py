@@ -1,20 +1,19 @@
 """Supervised prediction tasks over proof states.
 
-Three classification targets share one architecture (embed the state, apply a
-linear head, softmax): remaining-proof-depth bins, the rewrite tactic space
-of the toy domain, and a configurable equivalence-classed tactic space for
-ingested corpora. A fourth task scores each context entry for appearing as a
-tactic argument. Training is deterministic given seeds: fixed shuffles,
-per-pass seeds derived from (seed, epoch, batch), Adam updates.
+Two classification targets share one architecture (embed the state, apply a
+linear head, softmax): remaining-proof-depth bins and the rewrite tactic
+space of the toy domain. A third task scores each context entry for
+appearing as a tactic argument. Each task has one fixed class space.
+Training is deterministic given seeds: fixed shuffles, per-pass seeds
+derived from (seed, epoch, batch), Adam updates.
 """
 
 from __future__ import annotations
 
 import random
 import warnings
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .embeddings import (
     StateEmbedder,
     load_checkpoint,
     save_checkpoint,
-    tensor_names,
+    tensor_shapes,
 )
 from .engine import Law, Rewrite, tactic_from_call, tactic_text
 from .rewrite import TEST_PREFIX
@@ -87,37 +86,9 @@ def pos_eval_space() -> ClassSpace:
     return ClassSpace("pos", ("close", "medium", "far"))
 
 
-def generic_tactic_space(eq_map: dict[str, str]) -> ClassSpace:
-    return ClassSpace("tac-generic", tuple(sorted(set(eq_map.values()))))
-
-
 def argument_space() -> ClassSpace:
     """Two-way presence of one context entry among the tactic's arguments."""
     return ClassSpace("arg", ("absent", "present"))
-
-
-def _parse_equivalence_map(lines: Iterable[str], source: str) -> dict[str, str]:
-    """Tab-separated `raw_name<TAB>class_name` lines; '#' starts a comment."""
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ModelError(f"{source}:{lineno}: expected 'raw<TAB>class'")
-        out[parts[0]] = parts[1]
-    return out
-
-
-def load_equivalence_map(path: str) -> dict[str, str]:
-    with open(path, encoding="utf-8") as fh:
-        return _parse_equivalence_map(fh, path)
-
-
-def default_equivalence_map() -> dict[str, str]:
-    text = resources.files("proofgym.data").joinpath("tactic_classes.tsv").read_text("utf-8")
-    return _parse_equivalence_map(text.splitlines(), "tactic_classes.tsv")
 
 
 # -- labels from trace records ------------------------------------------------------
@@ -152,21 +123,6 @@ def toy_tactic_states(records: list[TraceRecord]) -> list[LabeledState]:
     return out
 
 
-def generic_tactic_states(
-    records: list[TraceRecord], eq_map: dict[str, str]
-) -> tuple[list[LabeledState], ClassSpace]:
-    space = generic_tactic_space(eq_map)
-    index = {name: i + 1 for i, name in enumerate(space.names)}
-    out: list[LabeledState] = []
-    for rec in records:
-        base = rec.tactic.raw.split()[0] if rec.tactic.raw else rec.tactic.class_name
-        cls = eq_map.get(base)
-        if cls is None:
-            raise ModelError(f"tactic {base!r} is not covered by the equivalence map")
-        out.append(LabeledState(rec.lemma, rec.ctx, rec.goal, label=index[cls]))
-    return out, space
-
-
 def argument_states(records: list[TraceRecord]) -> list[LabeledState]:
     """States paired with one presence flag per context entry."""
     out: list[LabeledState] = []
@@ -179,22 +135,25 @@ def argument_states(records: list[TraceRecord]) -> list[LabeledState]:
     return out
 
 
-def states_for_task(
-    records: list[TraceRecord],
-    task: str,
-    toy: bool = True,
-    eq_map: dict[str, str] | None = None,
-) -> tuple[list[LabeledState], ClassSpace]:
-    """Labeled states plus their class space."""
-    if task == "pos":
-        return pos_eval_states(records), pos_eval_space()
-    if task == "tac":
-        if toy:
-            return toy_tactic_states(records), toy_tactic_space()
-        return generic_tactic_states(records, eq_map or default_equivalence_map())
-    if task == "arg":
-        return argument_states(records), argument_space()
-    raise ModelError(f"unknown task {task!r}")
+# Task -> (its labeled states, its class space): one fixed space per task.
+_TASKS = {
+    "pos": (pos_eval_states, pos_eval_space),
+    "tac": (toy_tactic_states, toy_tactic_space),
+    "arg": (argument_states, argument_space),
+}
+
+
+def task_space(task: str) -> ClassSpace:
+    """The one class space of `task`; raises ModelError for an unknown task."""
+    if task not in _TASKS:
+        raise ModelError(f"unknown task {task!r}")
+    return _TASKS[task][1]()
+
+
+def states_for_task(records: list[TraceRecord], task: str) -> tuple[list[LabeledState], ClassSpace]:
+    """Labeled states plus the task's class space."""
+    space = task_space(task)
+    return _TASKS[task][0](records), space
 
 
 def partition_lemmas(records: list[TraceRecord], seed: int = 0) -> tuple[set[str], set[str], set[str]]:
@@ -220,7 +179,6 @@ def filter_states(states: list[LabeledState], lemmas: set[str]) -> list[LabeledS
 class TrainConfig:
     cell: str = "gru"
     dim: int = 128
-    level: str = "kernel"  # kernel | mid (mid drops implicit arguments)
     batch_size: int = 32
     lr: float = 0.001
     max_epochs: int = 50
@@ -230,8 +188,6 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.cell not in CELLS:
             raise ModelError(f"unknown cell {self.cell!r}")
-        if self.level not in ("kernel", "mid"):
-            raise ModelError(f"unknown level {self.level!r}")
         if self.dim < 1 or self.batch_size < 1:
             raise ModelError(f"dimension and batch size must be >= 1, got {self.dim} and {self.batch_size}")
 
@@ -276,24 +232,16 @@ class Classifier:
     head_w: Tensor
     head_b: Tensor
     space: ClassSpace
-    level: str = "kernel"
-    eq_map: dict[str, str] | None = None
 
     @classmethod
-    def create(
-        cls,
-        store: TermStore,
-        space: ClassSpace,
-        cfg: TrainConfig,
-        eq_map: dict[str, str] | None = None,
-    ) -> "Classifier":
+    def create(cls, store: TermStore, space: ClassSpace, cfg: TrainConfig) -> "Classifier":
         embed = EmbedParams.create(list(store.symbols()), cfg.cell, cfg.dim, seed=cfg.seed)
         weight, bias, seed_offset, width = _HEADS[_kind(space)]
         rng = np.random.default_rng(cfg.seed + seed_offset)
         scale = 1.0 / np.sqrt(width * cfg.dim)
         head_w = Tensor(weight, rng.uniform(-scale, scale, (space.n_classes, width * cfg.dim)))
         head_b = Tensor(bias, np.zeros(space.n_classes))
-        return cls(embed, head_w, head_b, space, cfg.level, eq_map)
+        return cls(embed, head_w, head_b, space)
 
     def tensors(self) -> dict[str, Tensor]:
         out = dict(self.embed.tensors)
@@ -302,13 +250,7 @@ class Classifier:
         return out
 
     def config(self, train: bool, pass_seed: int) -> EmbedConfig:
-        return EmbedConfig(
-            cell=self.embed.cell,
-            dim=self.embed.dim,
-            drop_implicit=(self.level == "mid"),
-            train=train,
-            pass_seed=pass_seed,
-        )
+        return EmbedConfig(cell=self.embed.cell, dim=self.embed.dim, train=train, pass_seed=pass_seed)
 
     def _head(self, graph: CompGraph, h: int) -> int:
         return graph.add(graph.matmul(graph.param(self.head_w), h), graph.param(self.head_b))
@@ -367,9 +309,7 @@ class Classifier:
             "classes": list(self.space.names),
             "cell": self.embed.cell,
             "dim": self.embed.dim,
-            "level": self.level,
             "symbols": sorted(self.embed.symbol_index, key=self.embed.symbol_index.get),
-            "eq_map": self.eq_map,
         }
         save_checkpoint(path, self.tensors(), meta)
 
@@ -378,30 +318,38 @@ class Classifier:
         arrays, meta = load_checkpoint(path)
         if meta.get("model") not in _HEADS:
             raise ModelError(f"checkpoint holds no known model kind: {meta.get('model')!r}")
-        missing = [key for key in ("task", "cell", "dim", "level", "symbols") if key not in meta]
+        missing = [key for key in ("task", "cell", "dim", "symbols") if key not in meta]
         if missing:
             raise ModelError(f"checkpoint meta lacks {missing[0]!r}")
-        if meta["cell"] not in CELLS:
-            raise ModelError(f"checkpoint cell {meta['cell']!r} is not one of {', '.join(CELLS)}")
-        weight, bias, _, _ = _HEADS[meta["model"]]
-        missing = [name for name in (*tensor_names(meta["cell"]), weight, bias) if name not in arrays]
-        if missing:
-            raise ModelError(f"checkpoint lacks tensor {missing[0]!r}")
-        tensors = {name: Tensor(name, arr) for name, arr in arrays.items() if name not in (weight, bias)}
-        embed = EmbedParams(tensors, {s: i for i, s in enumerate(meta["symbols"])}, meta["cell"], meta["dim"])
-        # argument checkpoints may leave out their fixed class names
-        space = ClassSpace(meta["task"], tuple(meta.get("classes", argument_space().names)))
-        # older checkpoints record their depth bins; only the fixed ones load
+        space = task_space(meta["task"])
+        if meta["model"] != _kind(space):
+            raise ModelError(f"checkpoint of task {space.task!r} holds model kind {meta['model']!r}")
+        if meta.get("classes", list(space.names)) != list(space.names):
+            raise ModelError(f"checkpoint classes are not the fixed {space.task!r} classes")
+        # older checkpoints record their depth bins and embedding level; only the fixed ones load
         if meta.get("bins") not in (None, list(DEPTH_BOUNDS)):
             raise ModelError(f"checkpoint depth bins {meta['bins']!r} are not the fixed bins {list(DEPTH_BOUNDS)}")
-        return cls(
-            embed,
-            Tensor(weight, arrays[weight]),
-            Tensor(bias, arrays[bias]),
-            space,
-            meta["level"],
-            meta.get("eq_map"),
-        )
+        if meta.get("level") not in (None, "kernel"):
+            raise ModelError(f"checkpoint level {meta['level']!r} is not 'kernel', the only embedding level")
+        cell, dim = meta["cell"], meta["dim"]
+        if cell not in CELLS:
+            raise ModelError(f"checkpoint cell {cell!r} is not one of {', '.join(CELLS)}")
+        if type(dim) is not int or dim < 1:
+            raise ModelError(f"checkpoint dim {dim!r} is not a positive integer")
+        weight, bias, _, width = _HEADS[meta["model"]]
+        shapes = {
+            **tensor_shapes(cell, dim, len(meta["symbols"])),
+            weight: (space.n_classes, width * dim),
+            bias: (space.n_classes,),
+        }
+        for name, shape in shapes.items():
+            if name not in arrays:
+                raise ModelError(f"checkpoint lacks tensor {name!r}")
+            if arrays[name].shape != shape:
+                raise ModelError(f"checkpoint tensor {name!r} has shape {arrays[name].shape}, expected {shape}")
+        tensors = {name: Tensor(name, arrays[name]) for name in shapes if name not in (weight, bias)}
+        embed = EmbedParams(tensors, {s: i for i, s in enumerate(meta["symbols"])}, cell, dim)
+        return cls(embed, Tensor(weight, arrays[weight]), Tensor(bias, arrays[bias]), space)
 
 
 def _adam_step(
@@ -493,7 +441,6 @@ def train_classifier(
     valid_states: list[LabeledState],
     space: ClassSpace,
     cfg: TrainConfig,
-    eq_map: dict[str, str] | None = None,
     log=None,
 ) -> tuple[Classifier, list[EpochStats]]:
     """Minimize mean cross-entropy with Adam; early-stop on validation accuracy."""
@@ -503,7 +450,7 @@ def train_classifier(
     missing = set(range(1, space.n_classes + 1)) - present
     if missing:
         warnings.warn(f"classes absent from training labels: {sorted(missing)}")
-    clf = Classifier.create(store, space, cfg, eq_map)
+    clf = Classifier.create(store, space, cfg)
     order = list(train_states)
     rng = random.Random(cfg.seed)
 

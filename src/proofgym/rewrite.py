@@ -113,13 +113,14 @@ class _Reachability:
 
     Terms are hash-consed, so the memo on `(x, t)` pairs is shared by every
     step of one proof; with a leaf target each subterm is asked about at
-    most three targets (the target, `e` and `m`).
+    most three targets (the target, `e` and `m`). An identity the store does
+    not declare occurs in no term, so nothing reaches it: its id is None.
     """
 
     def __init__(self, store: TermStore) -> None:
         self.store = store
-        self.e_id = store.const(LEFT_IDENTITY)
-        self.m_id = store.const(RIGHT_IDENTITY)
+        self.e_id = _declared_const(store, LEFT_IDENTITY)
+        self.m_id = _declared_const(store, RIGHT_IDENTITY)
         self._memo: dict[tuple[TermId, TermId], bool] = {}
         self._ops: dict[TermId, int] = {}
 
@@ -132,9 +133,9 @@ class _Reachability:
             ok = self._memo[key] = self._compute(x, t)
         return ok
 
-    def _compute(self, x: TermId, t: TermId) -> bool:
+    def _compute(self, x: TermId, t: TermId | None) -> bool:
         store = self.store
-        if store.leaf_count(x) < store.leaf_count(t):
+        if t is None or store.leaf_count(x) < store.leaf_count(t):
             return False
         tx = store.term(x)
         if isinstance(tx, App):
@@ -228,6 +229,7 @@ class _Reachability:
                     out |= goals
                 if any(self.reaches(left, g) for g in goals):
                     out.add(self.m_id)
+            out.discard(None)  # an undeclared identity is no goal
         for g in goals:
             tg = self.store.term(g)
             if not self._same_shape(term, tg):
@@ -236,6 +238,10 @@ class _Reachability:
             if all(self.reaches(c, t) for j, (c, t) in enumerate(zip(children, targets)) if j != i):
                 out.add(targets[i])
         return out
+
+
+def _declared_const(store: TermStore, symbol: str) -> TermId | None:
+    return store.const(symbol) if store.is_declared(symbol) else None
 
 
 def _children(term) -> list[TermId]:

@@ -226,18 +226,19 @@ def build(store: TermStore, spec: tuple) -> TermId:
     return store.prod(spec[1], build(store, spec[2]), build(store, spec[3]))
 
 
-# -- synthetic generic corpus -------------------------------------------------------
+# -- hand-built argument corpus ------------------------------------------------------
 
 _CTX_TYPES = ("nat", "boolean", "listT")
 
 
 def make_generic_corpus(store: TermStore, n_lemmas: int = 12) -> list[TraceRecord]:
-    """Hand-built ingested-style traces exercising the generic tactic path.
+    """Hand-built traces whose tactics take local arguments, for the argument
+    ranker, lemma splits and the dataset format.
 
     Layout per lemma i: root --intro--> s1 --<varied tactic>--> s2
-    --reflexivity--> s3(final). The middle tactic cycles through raw names so
-    the equivalence map matters, and its local argument is the context entry
-    whose type the goal mentions. The used type per co-occurring pair is kept
+    --reflexivity--> s3(final). The middle tactic cycles through raw names
+    that are not primitive tactics, so the records hold no rewrite, and its
+    local argument is the context entry whose type the goal mentions. The used type per co-occurring pair is kept
     consistent (nat over boolean over listT) so the rule stays realizable by
     an additive score over the state and entry vectors; the used entry still
     alternates between the two context slots, so slot position alone cannot

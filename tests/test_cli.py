@@ -270,11 +270,15 @@ def test_bench_names_the_unknown_symbol_when_the_file_lacks_a_domain_symbol(ws, 
         assert err == "error: symbol 'zz' is not in the embedding vocabulary\n"
 
 
-def _rewrite_checkpoint(path, out, version=1, drop_meta=(), drop_tensors=()):
-    arrays, meta = load_checkpoint(path)
-    payload = {"format_version": version, "meta": {k: v for k, v in meta.items() if k not in drop_meta}}
+def _rewrite_checkpoint(path, out, version=1, drop_meta=(), drop_tensors=(), meta=None, rows=None):
+    """A copy of a checkpoint with meta keys dropped or set (`meta`), tensors
+    dropped, or tensors cut to their first rows (`rows`, name -> count)."""
+    arrays, old_meta = load_checkpoint(path)
+    new_meta = {**{k: v for k, v in old_meta.items() if k not in drop_meta}, **(meta or {})}
+    payload = {"format_version": version, "meta": new_meta}
     blob = np.frombuffer(json.dumps(payload).encode("utf-8"), dtype=np.uint8)
-    np.savez(out, __meta__=blob, **{f"tensor:{k}": v for k, v in arrays.items() if k not in drop_tensors})
+    arrays = {k: v[: (rows or {}).get(k, len(v))] for k, v in arrays.items() if k not in drop_tensors}
+    np.savez(out, __meta__=blob, **{f"tensor:{k}": v for k, v in arrays.items()})
     return str(out)
 
 
@@ -285,6 +289,14 @@ def _rewrite_checkpoint(path, out, version=1, drop_meta=(), drop_tensors=()):
         (dict(drop_meta=("symbols",)), "meta lacks 'symbols'"),
         (dict(drop_tensors=("head_W",)), "tensor 'head_W'"),
         (dict(drop_tensors=("term_Uz",)), "tensor 'term_Uz'"),
+        (dict(meta={"task": "tac-generic"}), "unknown task 'tac-generic'"),
+        (dict(meta={"level": "mid"}), "level 'mid'"),
+        (dict(meta={"classes": ["absent", "present"]}), "classes are not the fixed 'tac' classes"),
+        (dict(meta={"model": "argument"}), "task 'tac' holds model kind 'argument'"),
+        (dict(rows={"head_W": 3, "head_b": 3}), "tensor 'head_W' has shape (3, 16), expected (18, 16)"),
+        (dict(rows={"symbol_table": 3}), "tensor 'symbol_table' has shape (3, 16), expected (5, 16)"),
+        (dict(meta={"dim": 32}), "tensor 'kind_table' has shape (2, 16), expected (2, 32)"),
+        (dict(meta={"dim": 0}), "dim 0 is not a positive integer"),
     ],
 )
 def test_eval_rejects_a_malformed_checkpoint(ws, tac_ckpt, toy_file, edit, message):
@@ -293,6 +305,19 @@ def test_eval_rejects_a_malformed_checkpoint(ws, tac_ckpt, toy_file, edit, messa
     code, out, err = run(["eval", "--ckpt", bad, "--in", toy_file])
     assert (code, out) == (2, "")
     assert err.startswith("error:") and message in err, err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [dict(drop_meta=("classes",)), dict(meta={"level": "kernel", "eq_map": None})],
+)
+def test_eval_loads_older_checkpoints(ws, tac_ckpt, toy_file, edit):
+    # older checkpoints may record `level: "kernel"` and `eq_map: null`, and a
+    # checkpoint without `classes` gets its task's fixed classes
+    path, _ = tac_ckpt
+    older = _rewrite_checkpoint(path, ws / "older.npz", **edit)
+    assert Classifier.load(older).space == Classifier.load(path).space
+    assert run(["eval", "--ckpt", older, "--in", toy_file]) == run(["eval", "--ckpt", path, "--in", toy_file])
 
 
 def test_train_and_eval_argument_model(ws, generic_file):
@@ -318,29 +343,17 @@ def test_train_and_eval_argument_model(ws, generic_file):
     assert csv_path.read_text(encoding="utf-8").startswith("precision,recall\n")
 
 
-def test_train_generic_tactic_classes(ws, generic_file):
-    classes = ws / "classes.tsv"
-    classes.write_text(
-        "intros\tstructural\napply\tuse\nelim\tcase_split\ndestruct\tcase_split\n"
-        "induction\tinduction\ncase\tcase_split\nreflexivity\tclose\n",
-        encoding="utf-8",
-    )
-    ckpt = ws / "generic-tac.npz"
-    code, out, _ = run(
-        ["train", "--task", "tac", "--classes", str(classes), *TINY,
-         "--in", generic_file, "--out", str(ckpt)]
-    )
-    assert code == 0
-    assert json.loads(out)["task"] == "tac"
-    clf = Classifier.load(str(ckpt))
-    assert clf.space.task == "tac-generic"
-    assert clf.space.names == ("case_split", "close", "induction", "structural", "use")
+def test_train_tac_rejects_a_dataset_without_rewrites(ws, generic_file):
+    code, out, err = run(["train", "--task", "tac", *TINY, "--in", generic_file, "--out", str(ws / "none.npz")])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: no training states\n")
 
-    code, out, _ = run(["eval", "--ckpt", str(ckpt), "--in", generic_file])
-    assert code == 0
-    metrics = json.loads(out)
-    assert metrics["task"] == "tac-generic"
-    assert metrics["n"] > 0
+
+@pytest.mark.parametrize("flag", [["--level", "mid"], ["--classes", "map.tsv"]])
+def test_train_has_no_level_or_classes_option(ws, toy_file, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "--task", "tac", *flag, "--in", toy_file, "--out", str(ws / "none.npz")])
+    assert exc.value.code == 2
 
 
 def test_train_arg_rejects_dataset_without_arguments(ws, toy_file):

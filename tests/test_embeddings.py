@@ -42,7 +42,7 @@ def params(store):
 
 
 def cfg_for(cell="gru", **kw):
-    base = dict(cell=cell, dim=DIM, drop_implicit=False, train=False, pass_seed=1)
+    base = dict(cell=cell, dim=DIM, train=False, pass_seed=1)
     base.update(kw)
     return EmbedConfig(**base)
 
@@ -276,41 +276,31 @@ def test_fused_cells_match_primitive_on_shared_state():
 # -- implicit arguments --------------------------------------------------------------
 
 
-def test_drop_implicit_changes_embedding(store):
-    store.declare("pair")
-    params = EmbedParams.create(list(store.symbols()), "gru", DIM, seed=0)
-    tid = parse_sexpr(store, "(app pair (impl (c G)) (c e) (c m))")
-    keep = embed_value(store, params, tid, cfg_for(drop_implicit=False))
-    drop = embed_value(store, params, tid, cfg_for(drop_implicit=True))
-    assert not np.array_equal(keep, drop)
-
-
-def test_drop_implicit_equals_explicit_elision(store):
+def test_implicit_flag_does_not_change_the_embedding(store):
     store.declare("pair")
     params = EmbedParams.create(list(store.symbols()), "gru", DIM, seed=0)
     with_impl = parse_sexpr(store, "(app pair (impl (c G)) (c e) (c m))")
-    without = parse_sexpr(store, "(app pair (c e) (c m))")
-    dropped = embed_value(store, params, with_impl, cfg_for(drop_implicit=True))
-    plain = embed_value(store, params, without, cfg_for(drop_implicit=True))
-    assert np.array_equal(dropped, plain)
+    explicit = parse_sexpr(store, "(app pair (c G) (c e) (c m))")
+    assert with_impl != explicit
+    assert np.array_equal(embed_value(store, params, with_impl), embed_value(store, params, explicit))
 
 
 def test_memoized_equals_naive_across_implicit_skips(store):
-    # Prods inside skipped implicit args, and a repeated subterm, embed the
-    # same memoized and unshared.
+    # Prods inside implicit args, which embed like explicit ones, and a
+    # repeated subterm, embed the same memoized and unshared.
     store.declare("pair")
     params = EmbedParams.create(list(store.symbols()), "gru", DIM, seed=0)
     inner_prod = "(prod q (c G) (v q))"
     text = f"(app pair (impl {inner_prod}) (prod r (c G) (v r)) (c m))"
     tid = parse_sexpr(store, text)
     dup = store.app(store.const("f"), [tid, tid])
-    v_memo = embed_value(store, params, dup, cfg_for(drop_implicit=True), memoize=True, batched=False)
-    v_fresh = embed_value(store, params, dup, cfg_for(drop_implicit=True), memoize=False, batched=False)
+    v_memo = embed_value(store, params, dup, cfg_for(), memoize=True, batched=False)
+    v_fresh = embed_value(store, params, dup, cfg_for(), memoize=False, batched=False)
     assert np.array_equal(v_memo, v_fresh)
     trail = parse_sexpr(store, "(prod s (c G) (v s))")
     outer = store.app(store.const("f"), [dup, trail])
-    v_memo = embed_value(store, params, outer, cfg_for(drop_implicit=True), memoize=True, batched=False)
-    v_fresh = embed_value(store, params, outer, cfg_for(drop_implicit=True), memoize=False, batched=False)
+    v_memo = embed_value(store, params, outer, cfg_for(), memoize=True, batched=False)
+    v_fresh = embed_value(store, params, outer, cfg_for(), memoize=False, batched=False)
     assert np.array_equal(v_memo, v_fresh)
 
 
@@ -378,9 +368,9 @@ def test_default_dropout_per_cell():
 
 
 def test_eval_mode_forces_zero_rate(store):
-    cfg = EmbedConfig(cell="treelstm", dim=DIM, drop_implicit=False, train=False, pass_seed=1)
+    cfg = EmbedConfig(cell="treelstm", dim=DIM, train=False, pass_seed=1)
     assert cfg.rate == 0.0
-    cfg_train = EmbedConfig(cell="treelstm", dim=DIM, drop_implicit=False, train=True, pass_seed=1)
+    cfg_train = EmbedConfig(cell="treelstm", dim=DIM, train=True, pass_seed=1)
     assert cfg_train.rate == 0.1
 
 
@@ -388,7 +378,7 @@ def test_train_dropout_applies_masks(store):
     params = EmbedParams.create(list(store.symbols()), "treelstm", DIM, seed=0)
     goal = parse_sexpr(store, "(app eq (app f (c e) (v b)) (v b))")
     g_ty = parse_sexpr(store, "(c G)")
-    cfg = EmbedConfig(cell="treelstm", dim=DIM, drop_implicit=False, train=True, pass_seed=1)
+    cfg = EmbedConfig(cell="treelstm", dim=DIM, train=True, pass_seed=1)
     g = CompGraph(dropout_seed=5)
     emb = StateEmbedder(g, params, store, cfg)
     emb.embed_state((("b", g_ty),), goal)

@@ -26,7 +26,7 @@ from proofgym.engine import (
     tactic_from_call,
     tactic_text,
 )
-from proofgym.models import TOY_MAX_POS, decode_toy_tactic, group_by_lemma, toy_tactic_space
+from proofgym.models import TOY_MAX_POS, decode_toy_tactic, toy_tactic_space
 from proofgym.protocol import ProtocolServer
 from proofgym.rewrite import enumerate_expressions, gen_expression, oracle_proof, statement_for
 from proofgym.sexpr import parse_sexpr, print_sexpr
@@ -219,37 +219,30 @@ def test_steps_below_matches_the_record_count(store, length):
     assert all(steps_below(session, sid) == 0 for sid in session.finals)
 
 
-def test_steps_below_matches_the_record_count_on_a_generic_corpus(store):
-    from helpers import make_generic_corpus
-
-    for records in group_by_lemma(make_generic_corpus(store, n_lemmas=6)).values():
-        session = replay_trace(store, records)
-        below = record_steps_below(session.records)
-        assert [steps_below(session, rec.state_id) for rec in records] == [below[rec.state_id] for rec in records]
-
-
 def test_branching_session_after_undo_logs_every_edge():
-    # UNDO replays the kept tactics into a fresh session; a generic edge then
-    # branches into two open states, closed one by rewriting, one by grafting.
+    # UNDO replays the kept tactics into a fresh session, which then logs each
+    # later edge once, as a session that never undid would.
     server = ProtocolServer()
-    server.handle("THEOREM (prod b (c G) (app eq (app f (c e) (app f (v b) (c m))) (v b)))")
+    theorem = "(prod b (c G) (app eq (app f (c e) (app f (v b) (c m))) (v b)))"
+    server.handle(f"THEOREM {theorem}")
     server.handle("TACTIC rewrite 1 left")
     server.handle("TACTIC rewrite 1 right")
-    assert server.handle("UNDO").startswith("OK state=2 ")
+    assert server.handle("UNDO") == "OK state=2 goal=(app eq (app f (v b) (c m)) (v b))"
     session = server.session
-    state = session.state(2)
-    split = TacticCall("split", "split")
-    left, right = session.apply_generic(2, split, [(state.ctx, state.goal)] * 2)
-    (done,) = session.apply_tactic(left, Rewrite(1, Law.RIGHT))
+    assert session.open_goals == [2] and [rec.state_id for rec in session.records] == [0, 1]
+    (done,) = session.apply_tactic(2, Rewrite(1, Law.RIGHT))
     session.apply_tactic(done, Reflexivity())
-    session.apply_generic(right, TacticCall("auto", "auto"), None)
     assert session.completed
 
-    assert [rec.state_id for rec in session.records] == [0, 1, 2, left, done, right]
-    assert session.records[2].children == (left, right)
-    assert len(session.finals) == 2 and session.finals.isdisjoint(r.state_id for r in session.records)
-    assert steps_below(session, 0) == len(session.records) == 6
-    assert (steps_below(session, 2), steps_below(session, left), steps_below(session, right)) == (4, 2, 1)
+    assert [rec.state_id for rec in session.records] == [0, 1, 2, done]
+    assert session.records[2].children == (done,)
+    assert len(session.finals) == 1 and session.finals.isdisjoint(r.state_id for r in session.records)
+    assert steps_below(session, 0) == len(session.records) == 4
+    assert (steps_below(session, 2), steps_below(session, done)) == (2, 1)
+    straight = start_session(server.store, parse_sexpr(server.store, theorem))
+    for sid, tactic in ((1, Rewrite(1, Law.LEFT)), (2, Rewrite(1, Law.RIGHT)), (done, Reflexivity())):
+        straight.apply_tactic(sid, tactic)
+    assert straight.records == session.records
 
 
 def test_rewrite_records(store):
@@ -310,12 +303,16 @@ def test_rewrite_lhs_matches_the_listing_reference(store, length):
 def test_tactic_from_call_round_trip(store):
     assert tactic_from_call(TacticCall("rewrite", "rewrite 3 left")) == Rewrite(3, Law.LEFT)
     assert tactic_from_call(TacticCall("reflexivity", "reflexivity")) == Reflexivity()
-    generic = tactic_from_call(TacticCall("intro", "intros a b"))
-    assert generic.name == "intros a b"
-    # ingested corpora close goals under any raw name
-    assert tactic_from_call(TacticCall("reflexivity", "done")) == Reflexivity()
-    with pytest.raises(BadTactic):
-        tactic_from_call(TacticCall("rewrite", "reflexivity"))
+    # only the primitive tactics, each under its own class
+    for call in (
+        TacticCall("intro", "intros a b"),
+        TacticCall("reflexivity", "done"),
+        TacticCall("rewrite", "reflexivity"),
+        TacticCall("reflexivity", "rewrite 1 left"),
+        TacticCall("apply", "rewrite 1 left"),
+    ):
+        with pytest.raises(BadTactic):
+            tactic_from_call(call)
 
 
 def test_tactic_text_round_trips_through_the_parser():
@@ -369,6 +366,21 @@ def test_replay_trace_full_proof(store):
     assert rebuilt.export_tree() == records
 
 
+def test_replay_trace_checks_the_intro_record_and_refuses_other_tactics(store):
+    from dataclasses import replace
+
+    session = start_session(store, statement(store, RIGHT_ID_THM), lemma="t")
+    session.apply_tactic(1, Rewrite(1, Law.RIGHT))
+    session.apply_tactic(2, Reflexivity())
+    records = session.export_tree()
+    renamed = replace(records[0], tactic=TacticCall("intro", "intros b"))
+    with pytest.raises(ReplayMismatch, match="intro mismatch"):
+        replay_trace(store, [renamed, *records[1:]])
+    other = replace(records[1], tactic=TacticCall("apply", "apply right_id"))
+    with pytest.raises(BadTactic):
+        replay_trace(store, [records[0], other, records[2]])
+
+
 def test_replay_trace_detects_tampering(store):
     session = start_session(store, statement(store, RIGHT_ID_THM), lemma="t")
     session.apply_tactic(1, Rewrite(1, Law.RIGHT))
@@ -380,13 +392,3 @@ def test_replay_trace_detects_tampering(store):
     bad = [records[0], replace(records[1], children=(9,)), records[2]]
     with pytest.raises(ReplayMismatch):
         replay_trace(store, bad)
-
-
-def test_generic_tactic_edges(store):
-    from helpers import make_generic_corpus
-
-    records = make_generic_corpus(store, n_lemmas=2)
-    one = [r for r in records if r.lemma == "gen_000"]
-    rebuilt = replay_trace(store, one)
-    assert rebuilt.completed
-    assert rebuilt.export_tree() == one

@@ -15,14 +15,10 @@ from proofgym.models import (
     argument_states,
     average_precision,
     decode_toy_tactic,
-    default_equivalence_map,
     encode_toy_tactic,
     evaluate,
     filter_states,
-    generic_tactic_space,
-    generic_tactic_states,
     group_by_lemma,
-    load_equivalence_map,
     partition_lemmas,
     pos_eval_space,
     pos_eval_states,
@@ -178,24 +174,6 @@ def test_toy_tactic_states_label_matches_raw(store, toy_records):
         assert rec.tactic.raw == f"rewrite {tac.pos} {tac.law.value}"
 
 
-def test_generic_tactic_states_use_eq_map(store):
-    records = make_generic_corpus(store, n_lemmas=6)
-    eq_map = default_equivalence_map()
-    states, space = generic_tactic_states(records, eq_map)
-    assert len(states) == len(records)
-    assert space.task == "tac-generic"
-    index = {name: i + 1 for i, name in enumerate(space.names)}
-    for rec, stt in zip(records, states):
-        base = rec.tactic.raw.split()[0]
-        assert stt.label == index[eq_map[base]]
-
-
-def test_generic_tactic_states_unknown_raw_rejected(store):
-    records = make_generic_corpus(store, n_lemmas=3)
-    with pytest.raises(ModelError, match="equivalence map"):
-        generic_tactic_states(records, {"reflexivity": "reflexivity"})
-
-
 def test_argument_states_flags(store):
     records = make_generic_corpus(store, n_lemmas=4)
     states = argument_states(records)
@@ -212,16 +190,15 @@ def test_argument_states_flags(store):
 def test_states_for_task_dispatch(store, toy_records):
     states, space = states_for_task(toy_records, "pos")
     assert space.task == "pos" and space.n_classes == 3
-    states, space = states_for_task(toy_records, "tac", toy=True)
+    states, space = states_for_task(toy_records, "tac")
     assert space.n_classes == 18
     generic = make_generic_corpus(store, n_lemmas=3)
-    states, space = states_for_task(generic, "tac", toy=False)
-    assert space.task == "tac-generic"
     states, space = states_for_task(generic, "arg")
     assert space == argument_space()
     assert space.task == "arg" and space.names == ("absent", "present")
-    with pytest.raises(ModelError):
-        states_for_task(toy_records, "no-such-task")
+    for task in ("no-such-task", "tac-generic"):
+        with pytest.raises(ModelError):
+            states_for_task(toy_records, task)
 
 
 # -- lemma partitioning -----------------------------------------------------------
@@ -258,12 +235,10 @@ def test_filter_states(store, toy_records):
 def test_train_config_validation():
     with pytest.raises(ModelError):
         TrainConfig(cell="lstm")
-    with pytest.raises(ModelError):
-        TrainConfig(level="deep")
     for bad in ({"dim": 0}, {"dim": -4}, {"batch_size": 0}, {"batch_size": -1}):
         with pytest.raises(ModelError, match=">= 1"):
             TrainConfig(**bad)
-    TrainConfig(cell="treelstm", level="mid", dim=1, batch_size=1)  # valid combinations pass
+    TrainConfig(cell="treelstm", dim=1, batch_size=1)  # valid combinations pass
 
 
 # -- classifier training ------------------------------------------------------------
@@ -271,7 +246,7 @@ def test_train_config_validation():
 
 def test_train_classifier_learns_toy_task(store):
     records, _ = gen_dataset_records(store, DatasetSpec(n_train=12, n_test=2, length=4, seed=1))
-    states, space = states_for_task(records, "tac", toy=True)
+    states, space = states_for_task(records, "tac")
     train_l, _, _ = partition_lemmas(records)
     train_states = filter_states(states, train_l)
     # validate on the train split: a tiny held-out set saturates instantly and
@@ -285,7 +260,7 @@ def test_train_classifier_learns_toy_task(store):
 
 
 def test_train_classifier_restores_best_snapshot(store, toy_records):
-    states, space = states_for_task(toy_records, "tac", toy=True)
+    states, space = states_for_task(toy_records, "tac")
     train_l, valid_l, _ = partition_lemmas(toy_records)
     train_states = filter_states(states, train_l)
     valid_states = filter_states(states, valid_l)
@@ -356,7 +331,7 @@ def _checkpoint_case(store, kind):
     states, space = states_for_task(
         gen_dataset_records(store, DatasetSpec(n_train=3, n_test=0, length=5, seed=0))[0], "pos"
     )
-    return Classifier.create(store, space, SMALL, eq_map=None), states
+    return Classifier.create(store, space, SMALL), states
 
 
 def _outputs(model, store, states):
@@ -375,7 +350,6 @@ def test_save_load_bitwise(store, tmp_path, kind):
     for name, t in model.tensors().items():
         assert np.array_equal(t.value, loaded.tensors()[name].value)
     assert loaded.space == model.space
-    assert loaded.level == model.level
     assert np.array_equal(_outputs(model, store, states), _outputs(loaded, store, states))
 
 
@@ -390,7 +364,7 @@ def test_load_checkpoint_written_with_separate_model_meta(store, tmp_path, kind)
         "task": model.space.task,
         "cell": model.embed.cell,
         "dim": model.embed.dim,
-        "level": model.level,
+        "level": "kernel",
         "dropout": 0.3,
         "symbols": sorted(model.embed.symbol_index, key=model.embed.symbol_index.get),
     }
@@ -499,15 +473,6 @@ def test_predict_refuses_an_embedder_of_another_model_or_store(store):
     clf.predict(store, state, clf.embedder(store))
 
 
-def test_classifier_checkpoint_keeps_eq_map(store, tmp_path):
-    eq_map = default_equivalence_map()
-    space = generic_tactic_space(eq_map)
-    clf = Classifier.create(store, space, SMALL, eq_map=eq_map)
-    path = str(tmp_path / "gen.npz")
-    clf.save(path)
-    assert Classifier.load(path).eq_map == eq_map
-
-
 # -- argument model ------------------------------------------------------------------
 
 
@@ -586,27 +551,3 @@ def test_average_precision_goldens():
 def test_pr_curve_csv_golden():
     curve = [(0.9, 1.0, 0.5), (0.7, 2 / 3, 1.0)]
     assert pr_curve_csv(curve) == "precision,recall\n1.000000,0.500000\n0.666667,1.000000\n"
-
-
-# -- equivalence map --------------------------------------------------------------
-
-
-def test_default_equivalence_map_has_23_classes():
-    eq_map = default_equivalence_map()
-    assert len(set(eq_map.values())) == 23
-    space = generic_tactic_space(eq_map)
-    assert space.n_classes == 23
-    assert space.names == tuple(sorted(space.names))
-
-
-def test_load_equivalence_map(tmp_path):
-    path = tmp_path / "classes.tsv"
-    path.write_text("# comment\nfoo\tbar\nbaz\tbar\n\n")
-    assert load_equivalence_map(str(path)) == {"foo": "bar", "baz": "bar"}
-
-
-def test_load_equivalence_map_rejects_bad_lines(tmp_path):
-    path = tmp_path / "bad.tsv"
-    path.write_text("foo\tbar\nno-tabs-here\n")
-    with pytest.raises(ModelError, match=r"bad\.tsv:2: expected"):
-        load_equivalence_map(str(path))

@@ -174,6 +174,31 @@ def test_completable(store):
     assert not completable(store, parse(store, "(app f (v b) (c e))"))
 
 
+def _first_move(store, expr):
+    try:
+        return next(oracle_moves(store, expr), None)
+    except OracleError:
+        return "OracleError"
+
+
+@pytest.mark.parametrize("identity", ["e", "m"])
+def test_oracle_on_a_store_that_never_declared_an_identity(store, identity):
+    # A dataset's store declares only the symbols its file mentions. An
+    # undeclared identity occurs in no term, so nothing can reach it.
+    for length in range(1, 6):
+        for expr in sorted(enumerate_expressions(store, length)):
+            text = print_sexpr(store, expr).replace(f"(c {identity})", "(c zz)")
+            answers = []
+            for declare in (False, True):
+                other = TermStore()
+                if declare:
+                    declare_domain(other)
+                x = parse_sexpr(other, text, auto_declare=True)  # as reading a dataset does
+                answers.append((completable(other, x), _first_move(other, x)))
+                assert other.is_declared(identity) == declare
+            assert answers[0] == answers[1], text
+
+
 def test_deep_nesting_raises_oracle_error(store):
     deep = deep_term(store, 5000)
     with pytest.raises(OracleError, match="nested too deeply"):
