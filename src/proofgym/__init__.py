@@ -1,6 +1,6 @@
 """Learning to prove in a toy rewrite calculus, end to end.
 
-Hash-consed terms, a backtrack-free tactic engine with trace capture, a
+Hash-consed terms, a tactic engine with trace capture and undo, a
 generated algebraic-identity benchmark, recursive state embeddings on a
 from-scratch reverse-mode autodiff with sharing and dynamic batching,
 classifiers for position evaluation / tactic prediction / argument presence,

@@ -6,7 +6,8 @@ operator application on the left-hand side using a left or right identity
 law, and Reflexivity closes a goal whose two sides are the same term. Closing
 an edge creates a fresh final child state, so final states never have
 outgoing edges and the number of edges below a state measures the remaining
-proof work. A session logs each edge once, as a trace record.
+proof work. A session logs each edge once, as a trace record, and `undo`
+retracts the last one.
 
 `tactic_text` and `parse_tactic` are the only printer and parser of the
 primitive tactics' text form.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .terms import App, Const, Prod, TermId, TermStore, Var, op_node_at, op_positions, replace_at
+from .terms import App, Const, Prod, TermId, TermStore
 from .traces import TacticArg, TacticCall, TraceRecord, record_steps_below
 
 # Canonical symbols of the rewrite domain. `f` is the binary operator, `e`
@@ -104,6 +105,10 @@ class ReplayMismatch(EngineError):
     code = "ReplayMismatch"
 
 
+class NothingToUndo(EngineError):
+    code = "NothingToUndo"
+
+
 class BadTactic(EngineError):
     code = "BadArgument"
 
@@ -148,25 +153,52 @@ def rewrite_lhs(store: TermStore, lhs: TermId, tactic: Rewrite) -> TermId:
     """Left side of the goal after one identity rewrite; pure, no session needed.
 
     Raises InvalidPosition or PatternMismatch exactly as tactic application
-    would, which makes it usable as a dry run.
+    would, which makes it usable as a dry run. One preorder walk finds the
+    operator node and the spine above it; only that spine is rebuilt, bottom
+    up, so the result and the nodes it interns are those of `replace_at`.
     """
-    at = op_node_at(store, lhs, tactic.pos, OP_SYMBOL)
-    if at is None:
-        ops = len(op_positions(store, lhs, OP_SYMBOL))
-        raise InvalidPosition(f"position {tactic.pos} out of range, goal has {ops} operator nodes")
-    node = store.term(at)
-    if not isinstance(node, App) or len(node.args) != 2:
+    rank = 0
+    spine: list[tuple[TermId, int]] = []  # (node, its slot in the parent), root first
+    stack = [(lhs, 0, 0)]  # (node, depth, slot); slot 0 is a head or a binder type
+    while stack:
+        t, depth, slot = stack.pop()
+        del spine[depth:]
+        spine.append((t, slot))
+        node = store.term(t)
+        if isinstance(node, App):
+            head = store.term(node.head)
+            if isinstance(head, Const) and head.symbol == OP_SYMBOL:
+                rank += 1
+                if rank == tactic.pos:
+                    break
+            depth += 1
+            stack.extend((node.args[k - 1][0], depth, k) for k in range(len(node.args), 0, -1))
+            stack.append((node.head, depth, 0))
+        elif isinstance(node, Prod):
+            stack.append((node.body, depth + 1, 1))
+            stack.append((node.ty, depth + 1, 0))
+    else:
+        raise InvalidPosition(f"position {tactic.pos} out of range, goal has {rank} operator nodes")
+    if len(node.args) != 2:
         raise PatternMismatch(f"node at {tactic.pos} is not a binary operator application")
     left, right = node.args[0][0], node.args[1][0]
     if tactic.law is Law.LEFT:
         if store.term(left) != Const(LEFT_IDENTITY):
             raise PatternMismatch(f"node at {tactic.pos} does not match e (+) Y")
-        kept = right
+        new = right
     else:
         if store.term(right) != Const(RIGHT_IDENTITY):
             raise PatternMismatch(f"node at {tactic.pos} does not match Y (+) m")
-        kept = left
-    return replace_at(store, lhs, tactic.pos, kept, OP_SYMBOL)
+        new = left
+    for (parent, _), (_, slot) in zip(reversed(spine[:-1]), reversed(spine[1:])):
+        up = store.term(parent)
+        if isinstance(up, Prod):
+            new = store.prod(up.binder, new, up.body) if slot == 0 else store.prod(up.binder, up.ty, new)
+        elif slot == 0:
+            new = store.app(new, up.args)
+        else:
+            new = store.app(up.head, up.args[: slot - 1] + ((new, up.args[slot - 1][1]),) + up.args[slot:])
+    return new
 
 
 class ProofSession:
@@ -182,6 +214,7 @@ class ProofSession:
         self.finals: set[int] = set()
         self.records: list[TraceRecord] = []  # one per edge, in application order
         self._parent: dict[int, int] = {}  # child state -> state its edge leaves
+        self._slots: list[int] = []  # per edge, its parent's index in open_goals
         self._next_id = 1
         self.open_goals: list[int] = [0]
         # A product statement enters interaction with its binders introduced;
@@ -228,6 +261,7 @@ class ProofSession:
             )
         )
         at = self.open_goals.index(parent)
+        self._slots.append(at)
         if close:
             del self.open_goals[at]
             self.finals.update(ids)
@@ -290,6 +324,30 @@ class ProofSession:
         call = TacticCall("reflexivity", tactic_text(Reflexivity()))
         self._attach(sid, call, (final,), close=True)
         return CLOSED
+
+    def undo(self) -> int:
+        """Retract the last edge and reopen the state it left; returns that id.
+
+        Afterwards the session equals a fresh one that applied every other
+        tactic: the same records, states, open goals, finals and next fresh
+        id. The intro edge a product statement opens with is not a tactic and
+        is never retracted.
+        """
+        if not self.records or self.records[-1].tactic.class_name == "intro":
+            raise NothingToUndo("no tactic to undo")
+        rec = self.records.pop()
+        at = self._slots.pop()
+        children = rec.children
+        if children[0] in self.finals:
+            self.finals.difference_update(children)
+        else:
+            del self.open_goals[at : at + len(children)]
+        self.open_goals.insert(at, rec.state_id)
+        for child in children:
+            del self.states[child]
+            del self._parent[child]
+        self._next_id = children[0]
+        return rec.state_id
 
     def export_tree(self) -> list[TraceRecord]:
         """Trace records, one per edge, in application order."""

@@ -1,9 +1,9 @@
 """Line-oriented proof service over stdio.
 
 One session at a time, one response line per request line, errors in-band as
-`ERR <code> <message>`; the server never raises on malformed input. UNDO is
-implemented by replaying the retained tactic prefix into a fresh session,
-which keeps the engine itself free of backtracking.
+`ERR <code> <message>`; the server never raises on malformed input. UNDO
+retracts the session's last edge (`ProofSession.undo`), at a cost that does
+not grow with the length of the session.
 
     THEOREM <sexpr>              OK state=<id> goal=<sexpr>
     TACTIC rewrite <pos> <law>   OK state=<id> goal=<sexpr> final=false
@@ -22,7 +22,6 @@ from .engine import (
     EngineError,
     ProofSession,
     Reflexivity,
-    Tactic,
     declare_domain,
     parse_tactic,
     start_session,
@@ -45,11 +44,9 @@ class ProtocolServer:
     """Parses commands, drives one ProofSession, formats responses."""
 
     def __init__(self, store: TermStore | None = None) -> None:
-        self.store = store or TermStore()
+        self.store = TermStore() if store is None else store
         declare_domain(self.store)
         self.session: ProofSession | None = None
-        self.theorem: int | None = None
-        self.tactics: list[Tactic] = []
 
     # -- response helpers -------------------------------------------------------
 
@@ -111,8 +108,6 @@ class ProtocolServer:
             raise ProtocolError("BadArgument", "THEOREM needs a term")
         tid = parse_sexpr(self.store, rest)
         self.session = start_session(self.store, tid)
-        self.theorem = tid
-        self.tactics = []
         return self._state_line(with_ctx=False)
 
     def _cmd_tactic(self, rest: str) -> str:
@@ -120,7 +115,6 @@ class ProtocolServer:
         tactic = parse_tactic(rest)
         sid = self._current_sid()
         result = session.apply_tactic(sid, tactic)
-        self.tactics.append(tactic)
         if isinstance(tactic, Reflexivity):
             return "OK closed=true"
         child = result[0]
@@ -128,15 +122,7 @@ class ProtocolServer:
         return f"OK state={child} goal={goal} final=false"
 
     def _cmd_undo(self) -> str:
-        self._need_session()
-        if not self.tactics:
-            raise ProtocolError("NothingToUndo", "no tactic to undo")
-        kept = self.tactics[:-1]
-        session = start_session(self.store, self.theorem)
-        for tactic in kept:
-            session.apply_tactic(session.open_goals[0], tactic)
-        self.session = session
-        self.tactics = kept
+        self._need_session().undo()
         return self._state_line(with_ctx=False)
 
 

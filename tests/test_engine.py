@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given
+from helpers import build, term_strategy
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proofgym.engine import (
@@ -10,9 +11,11 @@ from proofgym.engine import (
     EngineError,
     InvalidPosition,
     Law,
+    NothingToUndo,
     NotTrivial,
     OpenTerm,
     PatternMismatch,
+    ProofState,
     Reflexivity,
     ReplayMismatch,
     Rewrite,
@@ -30,7 +33,7 @@ from proofgym.models import TOY_MAX_POS, decode_toy_tactic, toy_tactic_space
 from proofgym.protocol import ProtocolServer
 from proofgym.rewrite import enumerate_expressions, gen_expression, oracle_proof, statement_for
 from proofgym.sexpr import parse_sexpr, print_sexpr
-from proofgym.terms import Const, TermStore, op_positions, replace_at
+from proofgym.terms import Const, TermStore, op_node_at, op_positions, replace_at
 from proofgym.traces import TacticCall, record_steps_below
 
 
@@ -220,8 +223,8 @@ def test_steps_below_matches_the_record_count(store, length):
 
 
 def test_branching_session_after_undo_logs_every_edge():
-    # UNDO replays the kept tactics into a fresh session, which then logs each
-    # later edge once, as a session that never undid would.
+    # UNDO retracts the last edge; the session then logs each later edge once,
+    # as a session that never undid would.
     server = ProtocolServer()
     theorem = "(prod b (c G) (app eq (app f (c e) (app f (v b) (c m))) (v b)))"
     server.handle(f"THEOREM {theorem}")
@@ -243,6 +246,61 @@ def test_branching_session_after_undo_logs_every_edge():
     for sid, tactic in ((1, Rewrite(1, Law.LEFT)), (2, Rewrite(1, Law.RIGHT)), (done, Reflexivity())):
         straight.apply_tactic(sid, tactic)
     assert straight.records == session.records
+
+
+def _view(session):
+    return session.records, session.states, session.open_goals, session.finals, session._next_id
+
+
+@pytest.mark.parametrize("length", [4, 10, 14])
+def test_undo_equals_a_fresh_session_of_the_kept_tactics(store, length):
+    session = _oracle_session(store, length)
+    tactics = [tactic_from_call(rec.tactic) for rec in session.records[1:]]
+    for kept in range(len(tactics) - 1, -1, -1):
+        reopened = session.records[-1].state_id
+        assert session.undo() == reopened
+        fresh = start_session(store, session.state(0).goal, lemma=session.lemma)
+        for tactic in tactics[:kept]:
+            fresh.apply_tactic(fresh.open_goals[0], tactic)
+        assert _view(session) == _view(fresh)
+        assert session.open_goals == [reopened]
+    with pytest.raises(NothingToUndo, match="^no tactic to undo$"):
+        session.undo()
+    assert [rec.tactic.class_name for rec in session.records] == ["intro"]
+
+
+def test_undo_without_an_intro_edge_reaches_the_root(store):
+    session = start_session(store, statement(store, "(app eq (app f (c e) (c e)) (c e))"))
+    with pytest.raises(NothingToUndo):
+        session.undo()
+    (child,) = session.apply_tactic(0, Rewrite(1, Law.LEFT))
+    session.apply_tactic(child, Reflexivity())
+    assert session.undo() == child
+    assert (session.open_goals, session.finals, session._next_id) == ([child], set(), 2)
+    assert session.undo() == 0
+    assert (session.records, list(session.states), session.open_goals, session._parent) == ([], [0], [0], {})
+    assert session.apply_tactic(0, Rewrite(1, Law.LEFT)) == [child]
+
+
+def test_undo_reopens_the_parent_where_it_was_among_open_goals(store):
+    # no primitive tactic branches, so attach a two-child edge by hand
+    session = start_session(store, statement(store, "(app eq (app f (c e) (c e)) (c e))"))
+    root = session.state(0)
+    left, right = (ProofState(root.ctx, root.goal, session._fresh()) for _ in range(2))
+    session._attach(0, TacticCall("split", "split"), (left, right), close=False)
+    (child,) = session.apply_tactic(right.sid, Rewrite(1, Law.LEFT))
+    session.apply_tactic(left.sid, Rewrite(1, Law.LEFT))
+    before_close = (list(session.open_goals), dict(session.states), session._next_id)
+    session.apply_tactic(child, Reflexivity())
+    assert session.open_goals == [4]
+    session.undo()
+    assert (session.open_goals, session.states, session._next_id) == before_close
+    session.undo()
+    assert session.open_goals == [1, child]
+    session.undo()
+    assert session.open_goals == [1, 2]
+    session.undo()
+    assert (session.open_goals, list(session.states), session._next_id) == ([0], [0], 1)
 
 
 def test_rewrite_records(store):
@@ -283,6 +341,25 @@ def _listed_rewrite_lhs(store, lhs, tactic):
     return replace_at(store, lhs, tactic.pos, left, "f")
 
 
+def _two_walk_rewrite_lhs(store, lhs, tactic):
+    """rewrite_lhs as `op_node_at` to find the node, then `replace_at` to rebuild."""
+    at = op_node_at(store, lhs, tactic.pos, "f")
+    if at is None:
+        ops = len(op_positions(store, lhs, "f"))
+        raise InvalidPosition(f"position {tactic.pos} out of range, goal has {ops} operator nodes")
+    node = store.term(at)
+    if len(node.args) != 2:
+        raise PatternMismatch(f"node at {tactic.pos} is not a binary operator application")
+    left, right = node.args[0][0], node.args[1][0]
+    if tactic.law is Law.LEFT:
+        if store.term(left) != Const("e"):
+            raise PatternMismatch(f"node at {tactic.pos} does not match e (+) Y")
+        return replace_at(store, lhs, tactic.pos, right, "f")
+    if store.term(right) != Const("m"):
+        raise PatternMismatch(f"node at {tactic.pos} does not match Y (+) m")
+    return replace_at(store, lhs, tactic.pos, left, "f")
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -298,6 +375,57 @@ def test_rewrite_lhs_matches_the_listing_reference(store, length):
             for law in Law:
                 tactic = Rewrite(pos, law)
                 assert _outcome(rewrite_lhs, store, expr, tactic) == _outcome(_listed_rewrite_lhs, store, expr, tactic)
+
+
+def _interned(store, fn, *args):
+    """fn's outcome and the nodes it interned, in order."""
+    before = len(store)
+    return _outcome(fn, store, *args), [store.term(t) for t in range(before, len(store))]
+
+
+@pytest.mark.parametrize("length", range(1, 8))
+def test_one_walk_rewrite_lhs_matches_two_walks(length):
+    # separate stores that start equal, so the nodes each call interns compare too
+    one, two = TermStore(), TermStore()
+    for s in (one, two):
+        declare_domain(s)
+    exprs = sorted(enumerate_expressions(one, length))
+    assert sorted(enumerate_expressions(two, length)) == exprs
+    for expr in exprs:
+        for pos in range(-1, length + 1):
+            for law in Law:
+                tactic = Rewrite(pos, law)
+                assert _interned(one, rewrite_lhs, expr, tactic) == _interned(two, _two_walk_rewrite_lhs, expr, tactic)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_strategy())
+def test_one_walk_rewrite_lhs_matches_two_walks_under_binders(spec):
+    # drawn terms put operator nodes under products and in binder types; the
+    # wrapper adds a left redex in a binder type and a right one in its body
+    one, two = TermStore(), TermStore()
+    for s in (one, two):
+        declare_domain(s)
+    for term in (spec, ("prod", "x", ("app", ("const", "e"), spec), ("app", spec, ("const", "m")))):
+        tid = build(one, term)
+        assert build(two, term) == tid
+        _assert_one_walk_matches(one, two, tid)
+    # a product in head position, applied to an implicit argument
+    tid = _headed(one, build(one, spec))
+    assert _headed(two, build(two, spec)) == tid
+    _assert_one_walk_matches(one, two, tid)
+
+
+def _headed(store, tid):
+    e, f = store.const("e"), store.const("f")
+    return store.app(store.prod("x", store.app(f, [e, tid]), tid), [(tid, True), (store.app(f, [e, tid]), False)])
+
+
+def _assert_one_walk_matches(one, two, tid):
+    for pos in range(-1, len(op_positions(one, tid, "f")) + 2):
+        for law in Law:
+            tactic = Rewrite(pos, law)
+            assert _interned(one, rewrite_lhs, tid, tactic) == _interned(two, _two_walk_rewrite_lhs, tid, tactic)
 
 
 def test_tactic_from_call_round_trip(store):

@@ -1,11 +1,20 @@
 import io
+import random
 import string
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from helpers import dfs_moves
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from protocol_reference import ReplayServer
 
+from proofgym import engine, protocol
+from proofgym.engine import declare_domain, goal_sides
 from proofgym.protocol import ProtocolServer, serve
+from proofgym.rewrite import gen_expression, statement_for
+from proofgym.sexpr import print_sexpr
+from proofgym.terms import TermStore
 
 THEOREM = "THEOREM (prod b (c G) (app eq (app f (c e) (app f (v b) (c m))) (v b)))"
 
@@ -169,7 +178,12 @@ def test_theorem_resets_session():
     assert server.handle("UNDO").startswith("ERR NothingToUndo ")
 
 
-def test_undo_replays_prefix():
+def test_server_keeps_an_empty_store():
+    store = TermStore()
+    assert ProtocolServer(store).store is store
+
+
+def test_undo_retracts_last_edge():
     server = ProtocolServer()
     server.handle(THEOREM)
     a = server.handle("TACTIC rewrite 1 left")
@@ -189,7 +203,7 @@ def test_undo_chain_to_root():
     server.handle("TACTIC rewrite 1 right")
     assert server.handle("UNDO").startswith("OK state=2 ")
     assert server.handle("UNDO") == "OK state=1 goal=(app eq (app f (c e) (app f (v b) (c m))) (v b))"
-    assert server.handle("UNDO").startswith("ERR NothingToUndo ")
+    assert server.handle("UNDO") == "ERR NothingToUndo no tactic to undo"
 
 
 def test_undo_after_close_reopens():
@@ -199,6 +213,53 @@ def test_undo_after_close_reopens():
     assert server.handle("TACTIC reflexivity") == "OK closed=true"
     assert server.handle("UNDO") == "OK state=2 goal=(app eq (v b) (v b))"
     assert server.handle("TACTIC reflexivity") == "OK closed=true"
+
+
+def test_undo_on_a_statement_without_binders():
+    # no intro edge: the root itself is the goal, and UNDO can reach it
+    server = ProtocolServer()
+    assert server.handle("THEOREM (app eq (c e) (c e))") == "OK state=0 goal=(app eq (c e) (c e))"
+    assert server.handle("TACTIC reflexivity") == "OK closed=true"
+    assert server.handle("UNDO") == "OK state=0 goal=(app eq (c e) (c e))"
+    assert server.handle("UNDO") == "ERR NothingToUndo no tactic to undo"
+    assert server.handle("TACTIC reflexivity") == "OK closed=true"
+
+
+def _chain_theorem(steps):
+    """A statement whose proof is steps-1 `rewrite 1 left`, one `rewrite 1 right`."""
+    lhs = "(app f (v b) (c m))"
+    for _ in range(steps - 1):
+        lhs = f"(app f (c e) {lhs})"
+    return f"THEOREM (prod b (c G) (app eq {lhs} (v b)))"
+
+
+def test_undo_calls_neither_the_rewriter_nor_start_session(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(engine, "rewrite_lhs", counting("rewrite_lhs", engine.rewrite_lhs))
+    start = counting("start_session", engine.start_session)
+    monkeypatch.setattr(engine, "start_session", start)
+    monkeypatch.setattr(protocol, "start_session", start)
+    server = ProtocolServer()
+    assert server.handle(_chain_theorem(13)).startswith("OK state=1 ")
+    for _ in range(12):
+        assert server.handle("TACTIC rewrite 1 left").startswith("OK state=")
+    last = server.handle("TACTIC rewrite 1 right")
+    assert last == "OK state=14 goal=(app eq (v b) (v b)) final=false"
+    assert calls == Counter(start_session=1, rewrite_lhs=13)
+
+    calls.clear()
+    assert server.handle("UNDO").startswith("OK state=13 ")
+    assert calls == Counter()
+    # the retracted edge's state id is handed out again
+    assert server.handle("TACTIC rewrite 1 right") == last
 
 
 def test_state_shows_context_entry():
@@ -254,3 +315,88 @@ def test_replaying_requests_reproduces_responses():
         "TACTIC reflexivity",
     ]
     assert run_script(script) == run_script(script)
+
+
+# -- UNDO against the replay it replaced ----------------------------------------------
+
+# a product statement (intro edge), and two closed statements without binders
+FIXED_THEOREMS = [
+    THEOREM,
+    "THEOREM (app eq (c e) (c e))",
+    "THEOREM (app eq (app f (c e) (app f (c e) (c m))) (c e))",
+]
+
+
+def _servers():
+    # one store, so that term ids compare across the two sessions
+    store = TermStore()
+    return ProtocolServer(store), ReplayServer(store)
+
+
+def _session_view(server):
+    session = server.session
+    if session is None:
+        return None
+    return session.records, session.states, session.open_goals, session.finals, session._next_id
+
+
+def _assert_same(server, reference, line):
+    assert server.handle(line) == reference.handle(line), line
+    assert _session_view(server) == _session_view(reference), line
+
+
+def _seeded_requests(rng, server, theorems):
+    """Requests chosen from the live session: mostly valid steps, with invalid
+    rewrites, early reflexivity, STATE, new theorems and runs of UNDO."""
+    roll = rng.random()
+    if server.session is None or roll < 0.04:
+        return [rng.choice(theorems)]
+    if roll < 0.6:
+        if server.session.completed:
+            return ["UNDO"]
+        goal = server.session.state(server.session.open_goals[0]).goal
+        try:
+            moves = dfs_moves(server.store, goal_sides(server.store, goal)[0])
+        except engine.PatternMismatch:
+            moves = []
+        tactic = rng.choice(moves)[0] if moves else engine.Reflexivity()
+        return [f"TACTIC {engine.tactic_text(tactic)}"]
+    if roll < 0.7:
+        return [f"TACTIC rewrite {rng.randrange(-1, 9)} {rng.choice(('left', 'right'))}"]
+    if roll < 0.75:
+        return ["TACTIC reflexivity"]
+    if roll < 0.82:
+        return ["STATE"]
+    return ["UNDO"] * rng.choice((1, 1, 1, 2, 3, 5))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_undo_matches_the_replay_reference_on_seeded_scripts(seed):
+    rng = random.Random(seed)
+    scratch = TermStore()
+    declare_domain(scratch)
+    generated = [
+        f"THEOREM {print_sexpr(scratch, statement_for(scratch, gen_expression(scratch, rng, length)))}"
+        for length in (6, 10)
+    ]
+    theorems = FIXED_THEOREMS + generated
+    server, reference = _servers()
+    _assert_same(server, reference, theorems[seed % len(theorems)])
+    for _ in range(150):
+        for line in _seeded_requests(rng, reference, theorems):
+            _assert_same(server, reference, line)
+
+
+REQUESTS = st.sampled_from(
+    FIXED_THEOREMS
+    + [f"TACTIC rewrite {pos} {law}" for pos in range(0, 5) for law in ("left", "right")]
+    + ["TACTIC reflexivity", "STATE", "UNDO", "UNDO", "UNDO"]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIXED_THEOREMS), st.lists(REQUESTS, max_size=40))
+def test_undo_matches_the_replay_reference_on_drawn_scripts(theorem, lines):
+    server, reference = _servers()
+    for line in [theorem] + lines:
+        _assert_same(server, reference, line)
