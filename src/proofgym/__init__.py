@@ -15,9 +15,6 @@ from .terms import (
     TermStore,
     Var,
     alpha_eq,
-    op_positions,
-    replace_at,
-    subterm_at,
 )
 from .sexpr import ParseError, parse_sexpr, print_sexpr
 from .engine import (
@@ -114,12 +111,10 @@ __all__ = [
     "gen_theorems",
     "histograms",
     "load_checkpoint",
-    "op_positions",
     "oracle_proof",
     "parse_sexpr",
     "print_sexpr",
     "read_dataset",
-    "replace_at",
     "replay_trace",
     "run_backward",
     "run_benchmark",
@@ -130,7 +125,6 @@ __all__ = [
     "start_session",
     "statement_for",
     "steps_below",
-    "subterm_at",
     "synthesize",
     "train_classifier",
     "write_dataset",

@@ -330,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="synthesize a proof for one theorem")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--theorem", required=True)
-    p.add_argument("--fallback", action="store_true")
-    p.add_argument("--interactive", action="store_true")
+    mode = p.add_mutually_exclusive_group()  # the REPL takes no fallback
+    mode.add_argument("--fallback", action="store_true")
+    mode.add_argument("--interactive", action="store_true")
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("bench", help="strict/fallback benchmark over test theorems")

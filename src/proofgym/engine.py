@@ -15,6 +15,7 @@ primitive tactics' text form.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -152,18 +153,21 @@ def goal_sides(store: TermStore, goal: TermId) -> tuple[TermId, TermId]:
 def rewrite_lhs(store: TermStore, lhs: TermId, tactic: Rewrite) -> TermId:
     """Left side of the goal after one identity rewrite; pure, no session needed.
 
-    Raises InvalidPosition or PatternMismatch exactly as tactic application
-    would, which makes it usable as a dry run. One preorder walk finds the
-    operator node and the spine above it; only that spine is rebuilt, bottom
-    up, so the result and the nodes it interns are those of `replace_at`.
+    A rewrite's position is the 1-based preorder rank of the operator node it
+    contracts, counting only applications of `f`: an application comes
+    before its head and its arguments, a product's binder type before its
+    body. Raises InvalidPosition or PatternMismatch exactly as tactic
+    application would, which makes it usable as a dry run. One preorder walk
+    finds the operator node and the spine above it; `rebuild_spine`, which
+    the oracle shares, re-interns only that spine.
     """
     rank = 0
-    spine: list[tuple[TermId, int]] = []  # (node, its slot in the parent), root first
-    stack = [(lhs, 0, 0)]  # (node, depth, slot); slot 0 is a head or a binder type
+    spine: list[tuple[TermId | None, int]] = []  # per node on the path, (parent, slot), root first
+    stack = [(lhs, 0, None, 0)]  # (node, depth, parent, slot in the parent)
     while stack:
-        t, depth, slot = stack.pop()
+        t, depth, parent, slot = stack.pop()
         del spine[depth:]
-        spine.append((t, slot))
+        spine.append((parent, slot))
         node = store.term(t)
         if isinstance(node, App):
             head = store.term(node.head)
@@ -172,11 +176,11 @@ def rewrite_lhs(store: TermStore, lhs: TermId, tactic: Rewrite) -> TermId:
                 if rank == tactic.pos:
                     break
             depth += 1
-            stack.extend((node.args[k - 1][0], depth, k) for k in range(len(node.args), 0, -1))
-            stack.append((node.head, depth, 0))
+            stack.extend((node.args[k - 1][0], depth, t, k) for k in range(len(node.args), 0, -1))
+            stack.append((node.head, depth, t, 0))
         elif isinstance(node, Prod):
-            stack.append((node.body, depth + 1, 1))
-            stack.append((node.ty, depth + 1, 0))
+            stack.append((node.body, depth + 1, t, 1))
+            stack.append((node.ty, depth + 1, t, 0))
     else:
         raise InvalidPosition(f"position {tactic.pos} out of range, goal has {rank} operator nodes")
     if len(node.args) != 2:
@@ -190,7 +194,19 @@ def rewrite_lhs(store: TermStore, lhs: TermId, tactic: Rewrite) -> TermId:
         if store.term(right) != Const(RIGHT_IDENTITY):
             raise PatternMismatch(f"node at {tactic.pos} does not match Y (+) m")
         new = left
-    for (parent, _), (_, slot) in zip(reversed(spine[:-1]), reversed(spine[1:])):
+    return rebuild_spine(store, spine[:0:-1], new)
+
+
+def rebuild_spine(store: TermStore, ancestors: Iterable[tuple[TermId, int]], new: TermId) -> TermId:
+    """The root of a term whose subterm at the end of a path becomes `new`.
+
+    `ancestors` are the replaced node's ancestors, innermost first, each with
+    the slot its child on the path sits in: 0 is an application's head or a
+    product's binder type, k >= 1 an application's k-th argument, and 1 a
+    product's body. Only those ancestors are re-interned, bottom up; every
+    other subterm stays shared and the original term is untouched.
+    """
+    for parent, slot in ancestors:
         up = store.term(parent)
         if isinstance(up, Prod):
             new = store.prod(up.binder, new, up.body) if slot == 0 else store.prod(up.binder, up.ty, new)

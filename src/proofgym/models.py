@@ -316,14 +316,23 @@ class Classifier:
     @classmethod
     def load(cls, path: str) -> "Classifier":
         arrays, meta = load_checkpoint(path)
-        if meta.get("model") not in _HEADS:
-            raise ModelError(f"checkpoint holds no known model kind: {meta.get('model')!r}")
+        kind = meta.get("model")
+        if not isinstance(kind, str) or kind not in _HEADS:
+            raise ModelError(f"checkpoint model {kind!r} is not a known model kind")
         missing = [key for key in ("task", "cell", "dim", "symbols") if key not in meta]
         if missing:
             raise ModelError(f"checkpoint meta lacks {missing[0]!r}")
+        for key in ("task", "cell"):
+            if not isinstance(meta[key], str):
+                raise ModelError(f"checkpoint {key} {meta[key]!r} is not a string")
+        symbols = meta["symbols"]
+        if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
+            raise ModelError("checkpoint symbols are not a list of strings")
+        if len(set(symbols)) != len(symbols):
+            raise ModelError("checkpoint symbols are not distinct")
         space = task_space(meta["task"])
-        if meta["model"] != _kind(space):
-            raise ModelError(f"checkpoint of task {space.task!r} holds model kind {meta['model']!r}")
+        if kind != _kind(space):
+            raise ModelError(f"checkpoint of task {space.task!r} holds model kind {kind!r}")
         if meta.get("classes", list(space.names)) != list(space.names):
             raise ModelError(f"checkpoint classes are not the fixed {space.task!r} classes")
         # older checkpoints record their depth bins and embedding level; only the fixed ones load
@@ -336,9 +345,9 @@ class Classifier:
             raise ModelError(f"checkpoint cell {cell!r} is not one of {', '.join(CELLS)}")
         if type(dim) is not int or dim < 1:
             raise ModelError(f"checkpoint dim {dim!r} is not a positive integer")
-        weight, bias, _, width = _HEADS[meta["model"]]
+        weight, bias, _, width = _HEADS[kind]
         shapes = {
-            **tensor_shapes(cell, dim, len(meta["symbols"])),
+            **tensor_shapes(cell, dim, len(symbols)),
             weight: (space.n_classes, width * dim),
             bias: (space.n_classes,),
         }
@@ -348,7 +357,7 @@ class Classifier:
             if arrays[name].shape != shape:
                 raise ModelError(f"checkpoint tensor {name!r} has shape {arrays[name].shape}, expected {shape}")
         tensors = {name: Tensor(name, arrays[name]) for name in shapes if name not in (weight, bias)}
-        embed = EmbedParams(tensors, {s: i for i, s in enumerate(meta["symbols"])}, cell, dim)
+        embed = EmbedParams(tensors, {s: i for i, s in enumerate(symbols)}, cell, dim)
         return cls(embed, Tensor(weight, arrays[weight]), Tensor(bias, arrays[bias]), space)
 
 

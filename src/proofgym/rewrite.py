@@ -27,9 +27,10 @@ from .engine import (
     Rewrite,
     Tactic,
     declare_domain,
+    rebuild_spine,
     start_session,
 )
-from .terms import App, Const, Prod, TermId, TermStore, Var, replace_at
+from .terms import App, Const, Prod, TermId, TermStore, Var
 
 # Lemma-name prefix of held-out theorems; the model split and `bench` select by it.
 TEST_PREFIX = "thm_test_"
@@ -169,18 +170,20 @@ class _Reachability:
             self._ops[x] = n
         return n
 
-    def first_move(self, cur: TermId, target: TermId) -> tuple[Rewrite, TermId]:
+    def first_move(self, cur: TermId, target: TermId) -> tuple[Rewrite, TermId, list[tuple[TermId, int]]]:
         """The first move in tie-break order whose result still reaches `target`.
 
         Walks `cur` in preorder carrying the terms each subterm may become
         for the whole to reach `target`, the rest of the term staying fixed,
         and stops at the first redex whose contraction reaches one of them.
         Subterms without positions, or that may become nothing, are skipped,
-        their positions counted. Returns the move and the subterm that
-        replaces the redex; raises OracleError when no move reaches `target`,
-        that is when `cur` does not.
+        their positions counted. Returns the move, the subterm that replaces
+        the redex, and the redex's ancestors as `rebuild_spine` takes them,
+        recorded as the walk unwinds; raises OracleError when no move
+        reaches `target`, that is when `cur` does not.
         """
         pos = 0
+        ancestors: list[tuple[TermId, int]] = []
 
         def walk(x: TermId, goals: set[TermId]) -> tuple[Rewrite, TermId] | None:
             nonlocal pos
@@ -204,13 +207,14 @@ class _Reachability:
                     continue
                 found = walk(child, sub)
                 if found is not None:
+                    ancestors.append((x, i))
                     return found
             return None
 
         found = walk(cur, {target})
         if found is None:
             raise OracleError("expression does not reduce to the target")
-        return found
+        return *found, ancestors
 
     def _child_goals(self, term, children: list[TermId], i: int, goals: set[TermId]) -> set[TermId]:
         """What child `i` may become for `term` to reach a member of `goals`."""
@@ -245,7 +249,8 @@ def _declared_const(store: TermStore, symbol: str) -> TermId | None:
 
 
 def _children(term) -> list[TermId]:
-    """Subterms in the preorder the operator positions are counted in."""
+    """Subterms in the preorder the operator positions are counted in; a
+    child's index is its slot in `rebuild_spine`'s sense."""
     if isinstance(term, App):
         return [term.head] + [c for c, _ in term.args]
     if isinstance(term, Prod):
@@ -261,7 +266,11 @@ def oracle_moves(store: TermStore, expr: TermId, target: TermId | None = None) -
     into `target` (see `_Reachability`). The moves are the first proof in that
     order, found without search: each one costs one walk of the term with
     reachability memoised across the steps, so taking only the first move
-    costs one walk, and all of a length-L proof O(L^2) term visits.
+    costs one walk, and all of a length-L proof O(L^2) term visits. The walk
+    that finds a move also records the redex's ancestors, and once the move
+    is taken the next term is rebuilt from them by `rebuild_spine`, the
+    rebuild `rewrite_lhs` uses; a caller that takes only the first move
+    rebuilds nothing.
     """
     if target is None:
         target = store.var(GOAL_VAR)
@@ -271,9 +280,9 @@ def oracle_moves(store: TermStore, expr: TermId, target: TermId | None = None) -
     oracle = _Reachability(store)
     try:
         while cur != target:
-            move, kept = oracle.first_move(cur, target)
+            move, kept, ancestors = oracle.first_move(cur, target)
             yield move
-            cur = replace_at(store, cur, move.pos, kept, OP_SYMBOL)
+            cur = rebuild_spine(store, ancestors, kept)
     except RecursionError:
         raise OracleError(f"term {cur} is nested too deeply for the oracle") from None
 

@@ -210,10 +210,11 @@ def theorems_from_records(
         names = chosen or names
     out: list[TheoremSpec] = []
     for name in names:
-        statement = roots[name]
-        term = store.term(statement)
+        statement = body = roots[name]
+        while isinstance(term := store.term(body), Prod):  # every binder, as a session's intro takes
+            body = term.body
         try:
-            lhs, _ = goal_sides(store, term.body if isinstance(term, Prod) else statement)
+            lhs, _ = goal_sides(store, body)
         except PatternMismatch:
             raise SynthesisError(f"lemma {name!r} is not an equality statement") from None
         out.append(TheoremSpec(name, lhs, statement, proof=()))

@@ -2,9 +2,7 @@
 
 Terms live in a TermStore as a DAG: structurally equal terms are interned to
 a single dense integer id, so equality is id equality and shared subterms are
-stored once. Rewriting primitives address operator applications by their
-1-based preorder rank, counting only applications of the given operator
-symbol.
+stored once.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ Term = Var | Const | App | Prod
 
 
 class TermError(Exception):
-    """Base class for term construction and addressing errors."""
+    """Base class for term construction and lookup errors."""
 
 
 class UndeclaredSymbol(TermError):
@@ -59,10 +57,6 @@ class ArityMismatch(TermError):
 
 
 class MalformedTerm(TermError):
-    pass
-
-
-class PositionError(TermError):
     pass
 
 
@@ -267,109 +261,6 @@ class TermStore:
         if isinstance(term, App):
             return 1 + self._tree_size[term.head] + sum(self._tree_size[c] for c, _ in term.args)
         return 1 + self._tree_size[term.ty] + self._tree_size[term.body]
-
-
-# -- operator positions -------------------------------------------------------
-
-Position = int
-
-
-def _is_op_node(store: TermStore, tid: TermId, op_symbol: str) -> bool:
-    term = store.term(tid)
-    if not isinstance(term, App):
-        return False
-    head = store.term(term.head)
-    return isinstance(head, Const) and head.symbol == op_symbol
-
-
-def op_positions(store: TermStore, tid: TermId, op_symbol: str) -> list[tuple[Position, TermId]]:
-    """(rank, id) for every application of `op_symbol`, in preorder, 1-based."""
-    out: list[tuple[Position, TermId]] = []
-
-    def walk(t: TermId) -> None:
-        term = store.term(t)
-        if isinstance(term, App):
-            if _is_op_node(store, t, op_symbol):
-                out.append((len(out) + 1, t))
-            walk(term.head)
-            for child, _ in term.args:
-                walk(child)
-        elif isinstance(term, Prod):
-            walk(term.ty)
-            walk(term.body)
-
-    walk(tid)
-    return out
-
-
-def op_node_at(store: TermStore, tid: TermId, pos: Position, op_symbol: str) -> TermId | None:
-    """Id of the application of `op_symbol` at rank `pos` (1-based preorder),
-    or None when there is none; the walk stops at that node."""
-    if pos < 1:
-        return None
-    rank = 0
-    stack = [tid]
-    while stack:
-        t = stack.pop()
-        term = store.term(t)
-        if isinstance(term, App):
-            if _is_op_node(store, t, op_symbol):
-                rank += 1
-                if rank == pos:
-                    return t
-            stack.extend(reversed([c for c, _ in term.args]))
-            stack.append(term.head)
-        elif isinstance(term, Prod):
-            stack.append(term.body)
-            stack.append(term.ty)
-    return None
-
-
-def subterm_at(store: TermStore, tid: TermId, pos: Position, op_symbol: str) -> TermId:
-    node = op_node_at(store, tid, pos, op_symbol)
-    if node is None:
-        raise PositionError(f"position {pos} out of range")
-    return node
-
-
-def replace_at(
-    store: TermStore, tid: TermId, pos: Position, new: TermId, op_symbol: str
-) -> TermId:
-    """Rebuild `tid` with the operator node at `pos` replaced by `new`.
-
-    Persistent: the original term is untouched and unaffected subterms stay
-    shared.
-    """
-    if pos < 1:
-        raise PositionError(f"position {pos} out of range")
-    counter = [0]
-
-    def walk(t: TermId) -> TermId:
-        if counter[0] >= pos:
-            return t  # the replacement is done; nothing after it changes
-        term = store.term(t)
-        if isinstance(term, App):
-            if _is_op_node(store, t, op_symbol):
-                counter[0] += 1
-                if counter[0] == pos:
-                    return new
-            head = walk(term.head)
-            args = tuple((walk(c), imp) for c, imp in term.args)
-            if head == term.head and args == term.args:
-                return t
-            return store.app(head, args)
-        if isinstance(term, Prod):
-            ty = walk(term.ty)
-            body = walk(term.body)
-            if ty == term.ty and body == term.body:
-                return t
-            return store.prod(term.binder, ty, body)
-        return t
-
-    result = walk(tid)
-    if counter[0] < pos:
-        raise PositionError(f"position {pos} out of range")
-    return result
 
 
 # -- alpha equivalence --------------------------------------------------------

@@ -116,7 +116,10 @@ def read_dataset(text: str, store: TermStore | None = None) -> tuple[list[TraceR
             try:
                 fid = int(fid_text)
             except ValueError:
-                raise DatasetError(f"line {lineno}: bad term id {fid_text!r}") from None
+                fid = None
+            # accept only what write_dataset prints; int() also takes "+0", "00", "0_0" and "٠"
+            if fid is None or str(fid) != fid_text:
+                raise DatasetError(f"line {lineno}: bad term id {fid_text!r}")
             if fid != len(table):
                 raise DatasetError(f"line {lineno}: term id {fid} is not dense (expected {len(table)})")
             try:

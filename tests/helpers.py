@@ -29,8 +29,9 @@ from proofgym.engine import (
     Tactic,
 )
 from proofgym.rewrite import OracleError
-from proofgym.terms import TermId, TermStore, op_positions, replace_at
+from proofgym.terms import TermId, TermStore
 from proofgym.traces import TacticArg, TacticCall, TraceRecord
+from terms_reference import op_positions, replace_at
 
 
 def central_differences(build, tensors: dict[str, Tensor], h: float = 1e-5) -> dict[str, np.ndarray]:
@@ -224,6 +225,20 @@ def build(store: TermStore, spec: tuple) -> TermId:
     if spec[0] == "app":
         return store.app(store.const("f"), [build(store, spec[1]), build(store, spec[2])])
     return store.prod(spec[1], build(store, spec[2]), build(store, spec[3]))
+
+
+def binder_wrapped(store: TermStore, spec: tuple) -> list[TermId]:
+    """A drawn term and two wrappers that put redexes under binders.
+
+    Drawn terms put operator nodes under products and in binder types. The
+    first wrapper adds a left redex in a binder type and a right one in its
+    body; the second is a product in head position, applied to an implicit
+    argument.
+    """
+    tid = build(store, spec)
+    wrapped = build(store, ("prod", "x", ("app", ("const", "e"), spec), ("app", spec, ("const", "m"))))
+    redex = store.app(store.const("f"), [store.const("e"), tid])
+    return [tid, wrapped, store.app(store.prod("x", redex, tid), [(tid, True), (redex, False)])]
 
 
 # -- hand-built argument corpus ------------------------------------------------------

@@ -16,7 +16,10 @@ import pytest
 from helpers import make_generic_corpus
 from proofgym.cli import main
 from proofgym.embeddings import load_checkpoint, save_checkpoint
+from proofgym.engine import declare_domain, start_session
 from proofgym.models import Classifier
+from proofgym.rewrite import oracle_proof
+from proofgym.sexpr import parse_sexpr
 from proofgym.terms import TermStore
 from proofgym.traces import read_dataset, write_dataset
 
@@ -26,6 +29,7 @@ TRIVIAL = "(prod b (c G) (app eq (v b) (v b)))"
 TWO_STEP = "(prod b (c G) (app eq (app f (c e) (v b)) (v b)))"
 THREE_STEP = "(prod b (c G) (app eq (app f (c e) (app f (v b) (c m))) (v b)))"
 UNPROVABLE = "(prod b (c G) (app eq (app f (c m) (c m)) (v b)))"
+TWO_BINDER = "(prod a (c G) (prod b (c G) (app eq (app f (c e) (v b)) (v b))))"
 
 
 def run(argv):
@@ -297,6 +301,13 @@ def _rewrite_checkpoint(path, out, version=1, drop_meta=(), drop_tensors=(), met
         (dict(rows={"symbol_table": 3}), "tensor 'symbol_table' has shape (3, 16), expected (5, 16)"),
         (dict(meta={"dim": 32}), "tensor 'kind_table' has shape (2, 16), expected (2, 32)"),
         (dict(meta={"dim": 0}), "dim 0 is not a positive integer"),
+        (dict(drop_meta=("model",)), "model None is not a known model kind"),
+        (dict(meta={"model": ["classifier"]}), "model ['classifier'] is not a known model kind"),
+        (dict(meta={"task": ["tac"]}), "task ['tac'] is not a string"),
+        (dict(meta={"cell": ["gru"]}), "cell ['gru'] is not a string"),
+        (dict(meta={"symbols": 5}), "symbols are not a list of strings"),
+        (dict(meta={"symbols": ["G", "e", 3, "f", "m"]}), "symbols are not a list of strings"),
+        (dict(meta={"symbols": ["G", "e", "e", "f", "m"]}), "symbols are not distinct"),
     ],
 )
 def test_eval_rejects_a_malformed_checkpoint(ws, tac_ckpt, toy_file, edit, message):
@@ -403,6 +414,15 @@ def test_prove_rejects_malformed_theorem(tac_ckpt):
     assert err.startswith("error:")
 
 
+def test_prove_rejects_interactive_with_fallback(tac_ckpt, capsys):
+    # the REPL never falls back, so asking for both is a usage error
+    path, _ = tac_ckpt
+    with pytest.raises(SystemExit) as exc:
+        main(["prove", "--ckpt", path, "--theorem", TWO_STEP, "--interactive", "--fallback"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_prove_interactive_explicit_tactics(tac_ckpt, monkeypatch):
     path, _ = tac_ckpt
     answers = iter(["rewrite 1 left", "reflexivity", "quit", "quit"])
@@ -466,6 +486,25 @@ def test_bench_report(ws, tac_ckpt, toy_file):
     assert report["completed_fallback"] == 2
     assert len(report["per_theorem"]) == 2
     assert {t["lemma"] for t in report["per_theorem"]} == {"thm_test_0000", "thm_test_0001"}
+
+
+def test_bench_proves_a_lemma_with_several_binders(ws, tac_ckpt):
+    # a session introduces every leading binder, and so must bench
+    path, _ = tac_ckpt
+    store = TermStore()
+    declare_domain(store)
+    session = start_session(store, parse_sexpr(store, TWO_BINDER), lemma="thm_test_0000")
+    lhs, rhs = session.goal_sides(1)
+    for tactic in oracle_proof(store, lhs, rhs):
+        session.apply_tactic(session.open_goals[0], tactic)
+    corpus = ws / "two-binders.ds"
+    corpus.write_text(write_dataset(session.export_tree(), store, {"kind": "toy"}), encoding="utf-8")
+    report_path = ws / "two-binders-report.json"
+    code, out, err = run(["bench", "--ckpt", path, "--in", str(corpus), "--report", str(report_path)])
+    assert code == 0, err
+    assert out.startswith("strict ") and " fallback 1/1 " in out
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert [t["lemma"] for t in report["per_theorem"]] == ["thm_test_0000"]
 
 
 def test_prove_and_bench_reject_a_non_tactic_checkpoint(ws, pos_ckpt, toy_file):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import build, term_strategy
+from helpers import binder_wrapped, term_strategy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,8 +33,9 @@ from proofgym.models import TOY_MAX_POS, decode_toy_tactic, toy_tactic_space
 from proofgym.protocol import ProtocolServer
 from proofgym.rewrite import enumerate_expressions, gen_expression, oracle_proof, statement_for
 from proofgym.sexpr import parse_sexpr, print_sexpr
-from proofgym.terms import Const, TermStore, op_node_at, op_positions, replace_at
+from proofgym.terms import Const, TermStore
 from proofgym.traces import TacticCall, record_steps_below
+from terms_reference import op_node_at, op_positions, replace_at
 
 
 @pytest.fixture
@@ -401,24 +402,13 @@ def test_one_walk_rewrite_lhs_matches_two_walks(length):
 @settings(max_examples=200, deadline=None)
 @given(term_strategy())
 def test_one_walk_rewrite_lhs_matches_two_walks_under_binders(spec):
-    # drawn terms put operator nodes under products and in binder types; the
-    # wrapper adds a left redex in a binder type and a right one in its body
     one, two = TermStore(), TermStore()
     for s in (one, two):
         declare_domain(s)
-    for term in (spec, ("prod", "x", ("app", ("const", "e"), spec), ("app", spec, ("const", "m")))):
-        tid = build(one, term)
-        assert build(two, term) == tid
+    terms = binder_wrapped(one, spec)
+    assert binder_wrapped(two, spec) == terms
+    for tid in terms:
         _assert_one_walk_matches(one, two, tid)
-    # a product in head position, applied to an implicit argument
-    tid = _headed(one, build(one, spec))
-    assert _headed(two, build(two, spec)) == tid
-    _assert_one_walk_matches(one, two, tid)
-
-
-def _headed(store, tid):
-    e, f = store.const("e"), store.const("f")
-    return store.app(store.prod("x", store.app(f, [e, tid]), tid), [(tid, True), (store.app(f, [e, tid]), False)])
 
 
 def _assert_one_walk_matches(one, two, tid):

@@ -3,11 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proofgym.engine import Law, Reflexivity, Rewrite, declare_domain, start_session
+from proofgym import engine, rewrite
+from proofgym.engine import OP_SYMBOL, Law, Reflexivity, Rewrite, declare_domain, rebuild_spine, start_session
 from proofgym.rewrite import (
     DatasetSpec,
     GenerationError,
     OracleError,
+    _Reachability,
     completable,
     enumerate_expressions,
     eval_word,
@@ -23,7 +25,8 @@ from proofgym.sexpr import parse_sexpr, print_sexpr
 from proofgym.synthesis import OraclePredictor
 from proofgym.terms import TermStore
 
-from helpers import deep_term, dfs_moves, dfs_oracle_proof
+from helpers import binder_wrapped, deep_term, dfs_moves, dfs_oracle_proof, term_strategy
+from terms_reference import replace_at
 
 
 @pytest.fixture
@@ -322,3 +325,98 @@ def test_long_theorems_prove_by_the_length_law(store):
         assert len(rewrites) == 99
         assert len(thm.proof) == 100 and isinstance(thm.proof[-1], Reflexivity)
         assert prove_with_oracle(store, thm).completed
+
+
+# -- one rebuild for the oracle and the engine --------------------------------------------
+
+
+def _reference_moves(store, expr, target):
+    """oracle_moves rebuilding each term by a second walk from the root."""
+    if expr == target:
+        return
+    oracle = _Reachability(store)
+    cur = expr
+    while cur != target:
+        move, kept, _ = oracle.first_move(cur, target)
+        yield move
+        cur = replace_at(store, cur, move.pos, kept, OP_SYMBOL)
+
+
+def _moves_and_interned(store, moves):
+    """The moves, the error that ends them if any, and the nodes interned meanwhile."""
+    before = len(store)
+    out = []
+    try:
+        out.extend(moves)
+    except OracleError as exc:
+        out.append(str(exc))
+    return out, [store.term(t) for t in range(before, len(store))]
+
+
+def _assert_rebuilds_match(one, two, expr, target):
+    # separate stores that start equal, so the nodes each side interns compare too
+    ours = _moves_and_interned(one, oracle_moves(one, expr, target))
+    assert ours == _moves_and_interned(two, _reference_moves(two, expr, target))
+
+
+def _two_domain_stores():
+    one, two = TermStore(), TermStore()
+    for s in (one, two):
+        declare_domain(s)
+    return one, two
+
+
+@pytest.mark.parametrize("length", range(1, 8))
+def test_oracle_rebuild_matches_replace_at_on_every_expression(length):
+    one, two = _two_domain_stores()
+    exprs = sorted(enumerate_expressions(one, length))
+    assert sorted(enumerate_expressions(two, length)) == exprs
+    target = one.var("b")
+    assert two.var("b") == target
+    for expr in exprs:
+        _assert_rebuilds_match(one, two, expr, target)
+
+
+def _last_moves_end(store, tid):
+    """Where taking the last applicable rewrite each time ends: a term `tid` reaches."""
+    while moves := dfs_moves(store, tid):
+        tid = moves[-1][1]
+    return tid
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_strategy())
+def test_oracle_rebuild_matches_replace_at_under_binders(spec):
+    one, two = _two_domain_stores()
+    terms = binder_wrapped(one, spec)
+    assert binder_wrapped(two, spec) == terms
+    for tid in terms:
+        target = _last_moves_end(one, tid)
+        assert _last_moves_end(two, tid) == target
+        _assert_rebuilds_match(one, two, tid, target)
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 14, 30])
+def test_the_oracle_and_the_engine_share_one_rebuild(store, length, monkeypatch):
+    assert rewrite.rebuild_spine is engine.rebuild_spine
+    calls = {"oracle": 0, "engine": 0}
+
+    def counting(side):
+        def wrapper(*args):
+            calls[side] += 1
+            return rebuild_spine(*args)
+        return wrapper
+
+    monkeypatch.setattr(rewrite, "rebuild_spine", counting("oracle"))
+    monkeypatch.setattr(engine, "rebuild_spine", counting("engine"))
+    expr = gen_expression(store, random.Random(length), length)
+    # the first move alone rebuilds nothing: the fallback takes only that
+    next(oracle_moves(store, expr), None)
+    assert calls == {"oracle": 0, "engine": 0}
+    proof = oracle_proof(store, expr)
+    assert calls == {"oracle": length - 1, "engine": 0}
+    session = start_session(store, statement_for(store, expr))
+    for tactic in proof:
+        session.apply_tactic(session.open_goals[0], tactic)
+    assert session.completed
+    assert calls == {"oracle": length - 1, "engine": length - 1}

