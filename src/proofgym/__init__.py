@@ -14,7 +14,6 @@ from .terms import (
     TermError,
     TermStore,
     Var,
-    alpha_eq,
 )
 from .sexpr import ParseError, parse_sexpr, print_sexpr
 from .engine import (
@@ -100,7 +99,6 @@ __all__ = [
     "TraceRecord",
     "TrainConfig",
     "Var",
-    "alpha_eq",
     "bin_depth",
     "declare_domain",
     "eval_word",

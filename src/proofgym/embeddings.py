@@ -245,7 +245,7 @@ class StateEmbedder:
             state = self._leaf(self._symbol_vec(term.symbol))
         elif isinstance(term, App):
             children = [self._embed(term.head, env)]
-            children.extend(self._embed(child, env) for child, _ in term.args)
+            children.extend(self._embed(child, env) for child in term.args)
             state = self._compose("term", self._kind_vec("App"), children)
         else:
             ty_state = self._embed(term.ty, env)

@@ -146,7 +146,7 @@ def goal_sides(store: TermStore, goal: TermId) -> tuple[TermId, TermId]:
     if isinstance(term, App) and len(term.args) == 2:
         head = store.term(term.head)
         if isinstance(head, Const) and head.symbol == EQ_SYMBOL:
-            return term.args[0][0], term.args[1][0]
+            return term.args
     raise PatternMismatch("goal is not an equality")
 
 
@@ -176,7 +176,7 @@ def rewrite_lhs(store: TermStore, lhs: TermId, tactic: Rewrite) -> TermId:
                 if rank == tactic.pos:
                     break
             depth += 1
-            stack.extend((node.args[k - 1][0], depth, t, k) for k in range(len(node.args), 0, -1))
+            stack.extend((node.args[k - 1], depth, t, k) for k in range(len(node.args), 0, -1))
             stack.append((node.head, depth, t, 0))
         elif isinstance(node, Prod):
             stack.append((node.body, depth + 1, t, 1))
@@ -185,7 +185,7 @@ def rewrite_lhs(store: TermStore, lhs: TermId, tactic: Rewrite) -> TermId:
         raise InvalidPosition(f"position {tactic.pos} out of range, goal has {rank} operator nodes")
     if len(node.args) != 2:
         raise PatternMismatch(f"node at {tactic.pos} is not a binary operator application")
-    left, right = node.args[0][0], node.args[1][0]
+    left, right = node.args
     if tactic.law is Law.LEFT:
         if store.term(left) != Const(LEFT_IDENTITY):
             raise PatternMismatch(f"node at {tactic.pos} does not match e (+) Y")
@@ -213,7 +213,7 @@ def rebuild_spine(store: TermStore, ancestors: Iterable[tuple[TermId, int]], new
         elif slot == 0:
             new = store.app(new, up.args)
         else:
-            new = store.app(up.head, up.args[: slot - 1] + ((new, up.args[slot - 1][1]),) + up.args[slot:])
+            new = store.app(up.head, up.args[: slot - 1] + (new,) + up.args[slot:])
     return new
 
 
@@ -234,7 +234,7 @@ class ProofSession:
         self._next_id = 1
         self.open_goals: list[int] = [0]
         # A product statement enters interaction with its binders introduced;
-        # all leading products are consumed by one implicit intro edge.
+        # all leading products are consumed by one intro edge.
         ctx: list[tuple[str, TermId]] = []
         body = theorem
         top = store.term(body)
@@ -327,7 +327,7 @@ class ProofSession:
         new_lhs = rewrite_lhs(store, lhs, tactic)
         goal_app = store.term(state.goal)
         assert isinstance(goal_app, App)
-        new_goal = store.app(goal_app.head, [(new_lhs, goal_app.args[0][1]), goal_app.args[1]])
+        new_goal = store.app(goal_app.head, (new_lhs, goal_app.args[1]))
         child = ProofState(ctx=state.ctx, goal=new_goal, sid=self._fresh())
         call = TacticCall("rewrite", tactic_text(tactic), (TacticArg("global", tactic.law.lemma_name),))
         return self._attach(sid, call, (child,), close=False)

@@ -93,7 +93,7 @@ def eval_word(store: TermStore, tid: TermId) -> tuple[str, ...]:
     if isinstance(term, App):
         head = store.term(term.head)
         if isinstance(head, Const) and head.symbol == OP_SYMBOL and len(term.args) == 2:
-            return eval_word(store, term.args[0][0]) + eval_word(store, term.args[1][0])
+            return eval_word(store, term.args[0]) + eval_word(store, term.args[1])
     raise OracleError(f"no denotation for term {tid}")
 
 
@@ -109,7 +109,7 @@ class _Reachability:
     - `x = X (+) Y` with X reaching `e` and Y reaching `t` (the top node is
       finally contracted by the left law), or X reaching `t` and Y reaching
       `m` (by the right law);
-    - `x` and `t` share constructor, head and implicit flags and each child
+    - `x` and `t` share constructor, head and arity and each child
       of `x` reaches its counterpart in `t` (the top node is never touched).
 
     Terms are hash-consed, so the memo on `(x, t)` pairs is shared by every
@@ -141,7 +141,7 @@ class _Reachability:
         tx = store.term(x)
         if isinstance(tx, App):
             if self._is_op(tx) and len(tx.args) == 2:
-                left, right = tx.args[0][0], tx.args[1][0]
+                left, right = tx.args
                 if self.reaches(left, self.e_id) and self.reaches(right, t):
                     return True
                 if self.reaches(left, t) and self.reaches(right, self.m_id):
@@ -157,7 +157,7 @@ class _Reachability:
 
     def _same_shape(self, tx, tt) -> bool:
         if isinstance(tx, App):
-            return isinstance(tt, App) and [imp for _, imp in tx.args] == [imp for _, imp in tt.args]
+            return isinstance(tt, App) and len(tx.args) == len(tt.args)
         return isinstance(tx, Prod) and isinstance(tt, Prod) and tx.binder == tt.binder
 
     def op_count(self, x: TermId) -> int:
@@ -191,7 +191,7 @@ class _Reachability:
             if isinstance(term, App) and self._is_op(term):
                 pos += 1
                 if len(term.args) == 2:
-                    left, right = term.args[0][0], term.args[1][0]
+                    left, right = term.args
                     if left == self.e_id and any(self.reaches(right, g) for g in goals):
                         return Rewrite(pos, Law.LEFT), right
                     if right == self.m_id and any(self.reaches(left, g) for g in goals):
@@ -252,7 +252,7 @@ def _children(term) -> list[TermId]:
     """Subterms in the preorder the operator positions are counted in; a
     child's index is its slot in `rebuild_spine`'s sense."""
     if isinstance(term, App):
-        return [term.head] + [c for c, _ in term.args]
+        return [term.head, *term.args]
     if isinstance(term, Prod):
         return [term.ty, term.body]
     return []

@@ -1,9 +1,8 @@
 """Textual term syntax.
 
 Grammar:
-    sexpr ::= (v <ident>) | (c <symbol>) | (app <head> <arg>...) | (prod <ident> <sexpr> <sexpr>)
+    sexpr ::= (v <ident>) | (c <symbol>) | (app <head> <sexpr>...) | (prod <ident> <sexpr> <sexpr>)
     head  ::= <symbol> | <sexpr>
-    arg   ::= <sexpr> | (impl <sexpr>)
 
 Identifiers match [A-Za-z_][A-Za-z0-9_']*. Printing is canonical (single
 spaces, constant heads printed bare), so parse(print(t)) is identity.
@@ -117,7 +116,7 @@ class _Parser:
                 if head is None:
                     head = self.memo[symbol] = self._const(symbol)
                 k += 1
-            args: list[tuple[TermId, bool]] = []
+            args: list[TermId] = []
             while True:
                 if k == n:
                     raise self.error("unclosed application", k)
@@ -126,13 +125,8 @@ class _Parser:
                     break
                 if tok != "(":
                     raise self.error(f"expected '(', found {tok!r}", k)
-                if k + 1 < n and toks[k + 1] == "impl":
-                    arg, k = self.term(k + 2)
-                    k = self._close(k)
-                    args.append((arg, True))
-                else:
-                    arg, k = self.term(k)
-                    args.append((arg, False))
+                arg, k = self.term(k)
+                args.append(arg)
             if not args:
                 raise self.error("application needs at least one argument", i + 1)
             return store.app(head, args), k + 1
@@ -206,9 +200,5 @@ def _print(store: TermStore, tid: TermId) -> str:
     if isinstance(term, App):
         head_term = store.term(term.head)
         head = head_term.symbol if isinstance(head_term, Const) else _print(store, term.head)
-        parts = [f"(app {head}"]
-        for child, implicit in term.args:
-            text = _print(store, child)
-            parts.append(f"(impl {text})" if implicit else text)
-        return " ".join(parts) + ")"
+        return " ".join([f"(app {head}", *(_print(store, child) for child in term.args)]) + ")"
     return f"(prod {term.binder} {_print(store, term.ty)} {_print(store, term.body)})"

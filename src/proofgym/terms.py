@@ -3,12 +3,20 @@
 Terms live in a TermStore as a DAG: structurally equal terms are interned to
 a single dense integer id, so equality is id equality and shared subterms are
 stored once.
+
+An intern hit is one lock-free dict read. A miss takes the store's lock,
+validates the term, appends it and its metadata and publishes its id last,
+so a reader that finds an id also finds its node and metadata. A hit skips
+validation, so a stored node must stay valid as the symbol table grows:
+`declare`, under the same lock, refuses to fix an arity that an interned
+application of the symbol already breaks.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import chain
 
 TermId = int
 
@@ -25,9 +33,8 @@ class Const:
 
 @dataclass(frozen=True)
 class App:
-    # args pair each child id with an implicit-argument flag.
     head: TermId
-    args: tuple[tuple[TermId, bool], ...]
+    args: tuple[TermId, ...]
 
 
 @dataclass(frozen=True)
@@ -65,8 +72,8 @@ class TermStore:
 
     Constant symbols must be declared before use; a declared arity (None
     means unchecked) is enforced when the symbol heads an application.
-    Reads are lock-free; interning takes an internal lock so one store can
-    be shared across threads with a single-writer discipline.
+    Reads and intern hits are lock-free; a miss takes an internal lock, so
+    one store can be shared across threads.
     """
 
     def __init__(self) -> None:
@@ -87,8 +94,22 @@ class TermStore:
             old = self._arity.get(symbol)
             if old is not None and arity is not None and old != arity:
                 raise ArityMismatch(f"symbol {symbol!r} redeclared with arity {arity}, was {old}")
+            if old is None and arity is not None:
+                self._refuse_arity(symbol, arity)
             if symbol not in self._arity or arity is not None:
                 self._arity[symbol] = arity
+
+    def _refuse_arity(self, symbol: str, arity: int) -> None:
+        """Raise if an interned application of `symbol` breaks `arity`."""
+        head = self._ids.get(Const(symbol))
+        if head is None:
+            return
+        for node in self._nodes:
+            if isinstance(node, App) and node.head == head and len(node.args) != arity:
+                raise ArityMismatch(
+                    f"cannot declare {symbol!r} with arity {arity}: "
+                    f"an application to {len(node.args)} args is interned"
+                )
 
     def is_declared(self, symbol: str) -> bool:
         return symbol in self._arity
@@ -105,19 +126,27 @@ class TermStore:
     # -- interning ---------------------------------------------------------
 
     def intern(self, term: Term) -> TermId:
-        """Return the id of `term`, creating it if new. Idempotent."""
-        self._validate(term)
+        """Return the id of `term`, creating it if new. Idempotent.
+
+        A hit is decided by equality, so child ids equal to a stored node's
+        (1.0 or np.int64(1) for 1) find that node; only a miss checks types.
+        """
+        tid = self._ids.get(term)
+        if tid is not None:
+            return tid
         with self._lock:
-            tid = self._ids.get(term)
+            tid = self._ids.get(term)  # another thread may have interned it
             if tid is not None:
                 return tid
+            self._validate(term)
+            free_vars, leaves, binders, size = self._metadata(term)
+            self._free_vars.append(free_vars)
+            self._leaf_count.append(leaves)
+            self._binder_count.append(binders)
+            self._tree_size.append(size)
             tid = len(self._nodes)
             self._nodes.append(term)
             self._ids[term] = tid
-            self._free_vars.append(self._compute_free_vars(term))
-            self._leaf_count.append(self._compute_leaf_count(term))
-            self._binder_count.append(self._compute_binder_count(term))
-            self._tree_size.append(self._compute_tree_size(term))
             return tid
 
     def _validate(self, term: Term) -> None:
@@ -133,7 +162,7 @@ class TermStore:
             self._check_child(term.head)
             if isinstance(self._nodes[term.head], App):
                 raise MalformedTerm("application head must not itself be an application")
-            for child, _ in term.args:
+            for child in term.args:
                 self._check_child(child)
             head = self._nodes[term.head]
             if isinstance(head, Const):
@@ -163,22 +192,11 @@ class TermStore:
         return self.intern(Const(symbol))
 
     def app(self, head: TermId, args) -> TermId:
-        """Apply `head` to `args`; applications in head position are flattened.
-
-        Each arg is a TermId or an (id, implicit) pair.
-        """
-        norm: list[tuple[TermId, bool]] = []
-        for a in args:
-            if isinstance(a, tuple):
-                norm.append((a[0], bool(a[1])))
-            else:
-                norm.append((a, False))
-        self._check_child(head)
-        head_term = self._nodes[head]
+        """Apply `head` to the ids `args`; applications in head position are flattened."""
+        head_term = self.term(head)
         if isinstance(head_term, App):
-            norm = list(head_term.args) + norm
-            head = head_term.head
-        return self.intern(App(head, tuple(norm)))
+            return self.intern(App(head_term.head, head_term.args + tuple(args)))
+        return self.intern(App(head, tuple(args)))
 
     def prod(self, binder: str, ty: TermId, body: TermId) -> TermId:
         return self.intern(Prod(binder, ty, body))
@@ -193,12 +211,6 @@ class TermStore:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def __contains__(self, tid: object) -> bool:
-        return isinstance(tid, int) and 0 <= tid < len(self._nodes)
-
-    def kind(self, tid: TermId) -> str:
-        return type(self.term(tid)).__name__
 
     def free_vars(self, tid: TermId) -> tuple[str, ...]:
         """Free variable names in first-occurrence order."""
@@ -221,80 +233,27 @@ class TermStore:
 
     # -- metadata (children are already interned, so lookups are O(1)) -------
 
-    def _compute_free_vars(self, term: Term) -> tuple[str, ...]:
+    def _metadata(self, term: Term) -> tuple[tuple[str, ...], int, int, int]:
+        """(free vars, leaf count, binder count, tree size) of a new node."""
         if isinstance(term, Var):
-            return (term.name,)
+            return (term.name,), 1, 0, 1
         if isinstance(term, Const):
-            return ()
-        seen: dict[str, None] = {}
+            return (), 1, 0, 1
+        fv, leaves, binders, size = self._free_vars, self._leaf_count, self._binder_count, self._tree_size
         if isinstance(term, App):
-            for name in self._free_vars[term.head]:
-                seen.setdefault(name)
-            for child, _ in term.args:
-                for name in self._free_vars[child]:
-                    seen.setdefault(name)
-        else:
-            for name in self._free_vars[term.ty]:
-                seen.setdefault(name)
-            for name in self._free_vars[term.body]:
-                if name != term.binder:
-                    seen.setdefault(name)
-        return tuple(seen)
-
-    def _compute_leaf_count(self, term: Term) -> int:
-        if isinstance(term, (Var, Const)):
-            return 1
-        if isinstance(term, App):
-            return sum(self._leaf_count[c] for c, _ in term.args)
-        return self._leaf_count[term.ty] + self._leaf_count[term.body]
-
-    def _compute_binder_count(self, term: Term) -> int:
-        if isinstance(term, (Var, Const)):
-            return 0
-        if isinstance(term, App):
-            return self._binder_count[term.head] + sum(self._binder_count[c] for c, _ in term.args)
-        return 1 + self._binder_count[term.ty] + self._binder_count[term.body]
-
-    def _compute_tree_size(self, term: Term) -> int:
-        if isinstance(term, (Var, Const)):
-            return 1
-        if isinstance(term, App):
-            return 1 + self._tree_size[term.head] + sum(self._tree_size[c] for c, _ in term.args)
-        return 1 + self._tree_size[term.ty] + self._tree_size[term.body]
-
-
-# -- alpha equivalence --------------------------------------------------------
-
-
-def alpha_eq(store: TermStore, a: TermId, b: TermId) -> bool:
-    """Structural equality up to consistent renaming of bound variables."""
-
-    def go(x: TermId, y: TermId, envx: dict[str, int], envy: dict[str, int], depth: int) -> bool:
-        tx, ty = store.term(x), store.term(y)
-        if type(tx) is not type(ty):
-            return False
-        if isinstance(tx, Var):
-            bx, by = envx.get(tx.name), envy.get(ty.name)
-            if bx is None and by is None:
-                return tx.name == ty.name
-            return bx == by
-        if isinstance(tx, Const):
-            return tx.symbol == ty.symbol
-        if isinstance(tx, App):
-            if len(tx.args) != len(ty.args):
-                return False
-            if not go(tx.head, ty.head, envx, envy, depth):
-                return False
-            for (cx, ix), (cy, iy) in zip(tx.args, ty.args):
-                if ix != iy or not go(cx, cy, envx, envy, depth):
-                    return False
-            return True
-        if not go(tx.ty, ty.ty, envx, envy, depth):
-            return False
-        envx2 = dict(envx)
-        envy2 = dict(envy)
-        envx2[tx.binder] = depth
-        envy2[ty.binder] = depth
-        return go(tx.body, ty.body, envx2, envy2, depth + 1)
-
-    return go(a, b, {}, {}, 0)
+            head, args = term.head, term.args
+            names = chain(fv[head], *(fv[c] for c in args))
+            return (
+                tuple(dict.fromkeys(names)),
+                sum(leaves[c] for c in args),
+                binders[head] + sum(binders[c] for c in args),
+                1 + size[head] + sum(size[c] for c in args),
+            )
+        ty, body = term.ty, term.body
+        names = chain(fv[ty], (name for name in fv[body] if name != term.binder))
+        return (
+            tuple(dict.fromkeys(names)),
+            leaves[ty] + leaves[body],
+            1 + binders[ty] + binders[body],
+            1 + size[ty] + size[body],
+        )

@@ -99,6 +99,8 @@ def read_dataset(text: str, store: TermStore | None = None) -> tuple[list[TraceR
         manifest = json.loads(lines[0][len("#manifest ") :])
     except json.JSONDecodeError as exc:
         raise DatasetError(f"line 1: bad manifest json: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"line 1: manifest must be a JSON object, got {type(manifest).__name__}")
 
     table: list[TermId] = []
     memo: dict[str, TermId] = {}  # subterm spans read so far (see sexpr)
@@ -140,7 +142,7 @@ def _record_from_json(
     obj: dict, table: list[TermId], seen: set[tuple[str, int]], lineno: int
 ) -> TraceRecord:
     def ref(fid: object) -> TermId:
-        if not isinstance(fid, int) or not (0 <= fid < len(table)):
+        if type(fid) is not int or not (0 <= fid < len(table)):  # bool is an int subclass
             raise DatasetError(f"line {lineno}: dangling term ref {fid!r}")
         return table[fid]
 
@@ -305,7 +307,7 @@ def histograms(records: list[TraceRecord], store: TermStore) -> tuple[dict[str, 
         c = Counter({type(term).__name__: 1})
         if isinstance(term, App):
             c.update(kinds(term.head))
-            for child, _ in term.args:
+            for child in term.args:
                 c.update(kinds(child))
         elif isinstance(term, Prod):
             c.update(kinds(term.ty))

@@ -134,7 +134,7 @@ def dfs_moves(store: TermStore, expr: TermId) -> list[tuple[Rewrite, TermId]]:
         node = store.term(node_id)
         if len(node.args) != 2:
             continue
-        left, right = node.args[0][0], node.args[1][0]
+        left, right = node.args
         if left == e_id:
             out.append((Rewrite(pos, Law.LEFT), replace_at(store, expr, pos, right, OP_SYMBOL)))
         if right == m_id:
@@ -232,13 +232,13 @@ def binder_wrapped(store: TermStore, spec: tuple) -> list[TermId]:
 
     Drawn terms put operator nodes under products and in binder types. The
     first wrapper adds a left redex in a binder type and a right one in its
-    body; the second is a product in head position, applied to an implicit
-    argument.
+    body; the second is a product in head position, applied to two
+    arguments.
     """
     tid = build(store, spec)
     wrapped = build(store, ("prod", "x", ("app", ("const", "e"), spec), ("app", spec, ("const", "m"))))
     redex = store.app(store.const("f"), [store.const("e"), tid])
-    return [tid, wrapped, store.app(store.prod("x", redex, tid), [(tid, True), (redex, False)])]
+    return [tid, wrapped, store.app(store.prod("x", redex, tid), [tid, redex])]
 
 
 # -- hand-built argument corpus ------------------------------------------------------

@@ -100,7 +100,7 @@ def _parse(store: TermStore, toks: _Tokens, auto: bool) -> TermId:
             head = _parse(store, toks, auto)
         else:
             head = _const(store, _ident(toks, "an application head"), auto)
-        args: list[tuple[TermId, bool]] = []
+        args: list[TermId] = []
         while True:
             nxt = toks.peek()
             if nxt is None:
@@ -108,7 +108,7 @@ def _parse(store: TermStore, toks: _Tokens, auto: bool) -> TermId:
             if nxt[0] == ")":
                 toks.next(")")
                 break
-            args.append(_parse_arg(store, toks, auto))
+            args.append(_parse(store, toks, auto))
         if not args:
             raise ParseError("application needs at least one argument", kline, kcol)
         return store.app(head, args)
@@ -119,22 +119,6 @@ def _parse(store: TermStore, toks: _Tokens, auto: bool) -> TermId:
         _close(toks)
         return store.prod(binder, ty, body)
     raise ParseError(f"unknown form {kw!r}", kline, kcol)
-
-
-def _parse_arg(store: TermStore, toks: _Tokens, auto: bool) -> tuple[TermId, bool]:
-    # Lookahead for the (impl ...) wrapper without consuming a plain sexpr.
-    mark = toks.pos
-    tok, line, col = toks.next("an argument")
-    if tok != "(":
-        raise ParseError(f"expected '(', found {tok!r}", line, col)
-    nxt = toks.peek()
-    if nxt is not None and nxt[0] == "impl":
-        toks.next("impl")
-        inner = _parse(store, toks, auto)
-        _close(toks)
-        return (inner, True)
-    toks.pos = mark
-    return (_parse(store, toks, auto), False)
 
 
 def _close(toks: _Tokens) -> None:

@@ -40,7 +40,7 @@ def op_positions(store: TermStore, tid: TermId, op_symbol: str) -> list[tuple[Po
             if _is_op_node(store, t, op_symbol):
                 out.append((len(out) + 1, t))
             walk(term.head)
-            for child, _ in term.args:
+            for child in term.args:
                 walk(child)
         elif isinstance(term, Prod):
             walk(term.ty)
@@ -65,7 +65,7 @@ def op_node_at(store: TermStore, tid: TermId, pos: Position, op_symbol: str) -> 
                 rank += 1
                 if rank == pos:
                     return t
-            stack.extend(reversed([c for c, _ in term.args]))
+            stack.extend(reversed(term.args))
             stack.append(term.head)
         elif isinstance(term, Prod):
             stack.append(term.body)
@@ -95,7 +95,7 @@ def replace_at(
                 if counter[0] == pos:
                     return new
             head = walk(term.head)
-            args = tuple((walk(c), imp) for c, imp in term.args)
+            args = tuple(walk(c) for c in term.args)
             if head == term.head and args == term.args:
                 return t
             return store.app(head, args)

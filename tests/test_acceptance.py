@@ -232,7 +232,7 @@ def _unique_subterms(store: TermStore, tid) -> int:
         term = store.term(cur)
         if isinstance(term, App):
             stack.append(term.head)
-            stack.extend(child for child, _ in term.args)
+            stack.extend(term.args)
         elif isinstance(term, Prod):
             stack.extend((term.ty, term.body))
     return len(seen)

@@ -208,6 +208,19 @@ def test_train_rejects_a_dimension_or_batch_below_one(ws, toy_file, flags):
     assert not out_path.exists()
 
 
+def test_train_rejects_a_manifest_that_is_not_an_object(ws, toy_file):
+    with open(toy_file, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    bad = ws / "list-manifest.ds"
+    bad.write_text("\n".join(["#manifest [1, 2]", *lines[1:]]) + "\n", encoding="utf-8")
+    out_path = ws / "list-manifest.npz"
+    code, out, err = run(["train", "--task", "tac", *TINY, "--in", str(bad), "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 1: manifest must be a JSON object") and "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_train_pos_metrics(pos_ckpt):
     path, metrics = pos_ckpt
     assert metrics["task"] == "pos"
@@ -412,6 +425,15 @@ def test_prove_rejects_malformed_theorem(tac_ckpt):
     code, _, err = run(["prove", "--ckpt", path, "--theorem", "(app f"])
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_prove_rejects_an_impl_argument(tac_ckpt):
+    path, _ = tac_ckpt
+    theorem = "(prod b (c G) (app eq (app f (impl (c e)) (v b)) (v b)))"
+    code, out, err = run(["prove", "--ckpt", path, "--theorem", theorem])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown form 'impl' at line 1, column 31")
 
 
 def test_prove_rejects_interactive_with_fallback(tac_ckpt, capsys):

@@ -273,25 +273,13 @@ def test_fused_cells_match_primitive_on_shared_state():
     _assert_fused_matches_primitive(store, params, cfg, [((("x", G),), store.app(eq, [t, t]))])
 
 
-# -- implicit arguments --------------------------------------------------------------
-
-
-def test_implicit_flag_does_not_change_the_embedding(store):
-    store.declare("pair")
-    params = EmbedParams.create(list(store.symbols()), "gru", DIM, seed=0)
-    with_impl = parse_sexpr(store, "(app pair (impl (c G)) (c e) (c m))")
-    explicit = parse_sexpr(store, "(app pair (c G) (c e) (c m))")
-    assert with_impl != explicit
-    assert np.array_equal(embed_value(store, params, with_impl), embed_value(store, params, explicit))
-
-
-def test_memoized_equals_naive_across_implicit_skips(store):
-    # Prods inside implicit args, which embed like explicit ones, and a
-    # repeated subterm, embed the same memoized and unshared.
+def test_memoized_equals_naive_across_prods_in_args(store):
+    # Prods in application arguments, and a repeated subterm, embed the same
+    # memoized and unshared.
     store.declare("pair")
     params = EmbedParams.create(list(store.symbols()), "gru", DIM, seed=0)
     inner_prod = "(prod q (c G) (v q))"
-    text = f"(app pair (impl {inner_prod}) (prod r (c G) (v r)) (c m))"
+    text = f"(app pair {inner_prod} (prod r (c G) (v r)) (c m))"
     tid = parse_sexpr(store, text)
     dup = store.app(store.const("f"), [tid, tid])
     v_memo = embed_value(store, params, dup, cfg_for(), memoize=True, batched=False)

@@ -332,7 +332,7 @@ def _listed_rewrite_lhs(store, lhs, tactic):
     ops = op_positions(store, lhs, "f")
     if not (1 <= tactic.pos <= len(ops)):
         raise InvalidPosition(f"position {tactic.pos} out of range, goal has {len(ops)} operator nodes")
-    left, right = (c for c, _ in store.term(ops[tactic.pos - 1][1]).args)
+    left, right = store.term(ops[tactic.pos - 1][1]).args
     if tactic.law is Law.LEFT:
         if store.term(left) != Const("e"):
             raise PatternMismatch(f"node at {tactic.pos} does not match e (+) Y")
@@ -351,7 +351,7 @@ def _two_walk_rewrite_lhs(store, lhs, tactic):
     node = store.term(at)
     if len(node.args) != 2:
         raise PatternMismatch(f"node at {tactic.pos} is not a binary operator application")
-    left, right = node.args[0][0], node.args[1][0]
+    left, right = node.args
     if tactic.law is Law.LEFT:
         if store.term(left) != Const("e"):
             raise PatternMismatch(f"node at {tactic.pos} does not match e (+) Y")

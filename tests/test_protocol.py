@@ -14,7 +14,8 @@ from proofgym.engine import declare_domain, goal_sides
 from proofgym.protocol import ProtocolServer, serve
 from proofgym.rewrite import gen_expression, statement_for
 from proofgym.sexpr import print_sexpr
-from proofgym.terms import TermStore
+from proofgym.terms import ArityMismatch, TermStore
+from proofgym.traces import read_dataset
 
 THEOREM = "THEOREM (prod b (c G) (app eq (app f (c e) (app f (v b) (c m))) (v b)))"
 
@@ -141,6 +142,13 @@ def test_theorem_parse_and_symbol_errors():
     assert server.handle(THEOREM).startswith("OK state=1 ")
 
 
+def test_theorem_with_an_impl_argument_is_a_parse_error():
+    server = ProtocolServer()
+    response = server.handle("THEOREM (prod b (c G) (app eq (app f (impl (c e)) (v b)) (v b)))")
+    assert response == "ERR ParseError unknown form 'impl' at line 1, column 31"
+    assert server.handle(THEOREM).startswith("OK state=1 ")
+
+
 def test_tactic_after_close_is_state_closed():
     responses = run_script(
         [
@@ -181,6 +189,18 @@ def test_theorem_resets_session():
 def test_server_keeps_an_empty_store():
     store = TermStore()
     assert ProtocolServer(store).store is store
+
+
+def test_server_refuses_a_read_store_that_breaks_the_domain_arities():
+    # Reading declares `f` with no arity; the domain would fix it at 2, which
+    # the stored one-argument application breaks.
+    _, store, _ = read_dataset("#manifest {}\n#term 0 (app f (c e))\n")
+    with pytest.raises(ArityMismatch, match="cannot declare 'f' with arity 2"):
+        ProtocolServer(store)
+    assert store.arity("f") is None
+    # a read store whose terms fit the domain is served
+    _, store, _ = read_dataset("#manifest {}\n#term 0 (app f (c e) (c m))\n")
+    assert ProtocolServer(store).handle(THEOREM).startswith("OK state=1 ")
 
 
 def test_undo_retracts_last_edge():

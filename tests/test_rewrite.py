@@ -220,6 +220,19 @@ def test_oracle_custom_target(store):
     assert proof == [Rewrite(1, Law.LEFT), Reflexivity()]
 
 
+def test_oracle_never_matches_applications_of_different_arity(store):
+    # `g` has no fixed arity, so only the argument count tells these apart:
+    # pairing the children up would let (g (e (+) b) e) reach (g b)
+    store.declare("g")
+    longer = parse(store, "(app g (app f (c e) (v b)) (c e))")
+    shorter = parse(store, "(app g (v b))")
+    assert not completable(store, longer, shorter)
+    assert not completable(store, shorter, longer)
+    with pytest.raises(OracleError, match="does not reduce"):
+        next(oracle_moves(store, longer, shorter))
+    assert completable(store, longer, parse(store, "(app g (v b) (c e))"))
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10_000))
 def test_oracle_solves_every_generated_expression(length, seed):
@@ -298,7 +311,7 @@ def test_oracle_matches_dfs_on_every_expression_and_successor(store, length):
 def _subterms(store, tid):
     out = {tid}
     term = store.term(tid)
-    for child, _ in getattr(term, "args", ()):
+    for child in getattr(term, "args", ()):
         out |= _subterms(store, child)
     return out
 

@@ -46,13 +46,12 @@ def test_parse_whitespace_insensitive(store):
     assert a == b
 
 
-def test_implicit_args_round_trip(store):
-    store.declare("pair")
-    text = "(app pair (impl (c G)) (v x) (v y))"
-    tid = parse_sexpr(store, text)
-    assert print_sexpr(store, tid) == text
-    node = store.term(tid)
-    assert [impl for _, impl in node.args] == [True, False, False]
+def test_impl_is_an_unknown_form(store):
+    text = "(app f\n  (impl (c e)) (c m))"
+    for parse in (parse_sexpr, reference_parse):
+        with pytest.raises(ParseError, match=r"^unknown form 'impl' at line 2, column 4$") as exc_info:
+            parse(store, text)
+        assert (exc_info.value.line, exc_info.value.col) == (2, 4)
 
 
 def test_parse_bare_head_is_const(store):

@@ -166,7 +166,7 @@ class TricksterPredictor:
     """
 
     def propose(self, store, ctx, goal):
-        lhs, rhs = store.term(goal).args[0][0], store.term(goal).args[1][0]
+        lhs, rhs = store.term(goal).args
         rng = random.Random(print_sexpr(store, goal))
         successors = dfs_moves(store, lhs)
         moves = [move for move, _ in successors]

@@ -2,7 +2,8 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proofgym.terms import (
     App,
@@ -11,13 +12,12 @@ from proofgym.terms import (
     DanglingChild,
     MalformedTerm,
     Prod,
+    TermError,
     TermStore,
     UndeclaredSymbol,
     Var,
-    alpha_eq,
 )
 
-from helpers import build, term_strategy
 from terms_reference import PositionError, op_node_at, op_positions, replace_at
 
 
@@ -49,7 +49,6 @@ def test_structural_sharing_in_apps(store):
 
 def test_term_accessors(store):
     t = op(store, store.const("e"), store.var("b"))
-    assert store.kind(t) == "App"
     node = store.term(t)
     assert isinstance(node, App)
     assert len(node.args) == 2
@@ -78,6 +77,33 @@ def test_conflicting_redeclare_raises(store):
     store.declare("f", 2)  # consistent redeclare is fine
 
 
+def test_declare_refuses_an_arity_an_interned_app_breaks(store):
+    # An intern hit skips validation, so declare must not fix an arity that
+    # a stored node breaks.
+    store.declare("g")
+    g, x, y = store.const("g"), store.var("x"), store.var("y")
+    one = store.app(g, [x])
+    with pytest.raises(ArityMismatch, match="cannot declare 'g' with arity 2"):
+        store.declare("g", 2)
+    assert store.arity("g") is None
+    store.declare("g", 1)  # the stored application has one argument
+    assert store.app(g, [x]) == one
+    with pytest.raises(ArityMismatch):
+        store.app(g, [x, y])
+    # over applications of two arities, every arity is refused
+    store.declare("h")
+    h = store.const("h")
+    store.app(h, [x])
+    store.app(h, [x, y])
+    for arity in (0, 1, 2, 3):
+        with pytest.raises(ArityMismatch):
+            store.declare("h", arity)
+    assert store.arity("h") is None
+    store.declare("k")
+    store.declare("k", 0)  # a symbol whose constant was never interned is free
+    assert store.arity("k") == 0
+
+
 def test_empty_app_rejected(store):
     with pytest.raises(MalformedTerm):
         store.intern(App(store.const("f"), ()))
@@ -95,8 +121,8 @@ def test_app_head_flattening(store):
 
 
 def test_dangling_child_rejected(store):
-    with pytest.raises(Exception):
-        store.intern(App(10_000, ((0, False),)))
+    with pytest.raises(DanglingChild):
+        store.intern(App(10_000, (0,)))
 
 
 @pytest.mark.parametrize(
@@ -196,7 +222,7 @@ def test_replace_at_persistent_sharing(store):
     t = op(store, inner, inner)
     replaced = replace_at(store, t, 3, e, "f")
     node = store.term(replaced)
-    assert node.args[0][0] == inner  # left subtree shared, untouched
+    assert node.args[0] == inner  # left subtree shared, untouched
 
 
 def test_replace_at_bad_positions(store):
@@ -206,71 +232,49 @@ def test_replace_at_bad_positions(store):
             replace_at(store, t, pos, store.const("e"), "f")
 
 
-# -- alpha equivalence -------------------------------------------------------------
+_STORE_SYMBOLS = ("g", "h")
+_STORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("declare"), st.sampled_from(_STORE_SYMBOLS), st.none() | st.integers(0, 2)),
+        st.tuples(st.just("var"), st.sampled_from("xyz")),
+        st.tuples(st.just("const"), st.sampled_from(_STORE_SYMBOLS)),
+        st.tuples(
+            st.just("app"),
+            st.sampled_from(_STORE_SYMBOLS) | st.integers(0, 63),  # a constant head, or any node
+            st.lists(st.integers(0, 63), min_size=1, max_size=3),
+        ),
+        st.tuples(st.just("prod"), st.sampled_from("xyz"), st.integers(0, 63), st.integers(0, 63)),
+    ),
+    max_size=40,
+)
 
 
-def test_alpha_eq_renames_binders(store):
-    g = store.const("G")
-    t1 = store.prod("x", g, store.var("x"))
-    t2 = store.prod("y", g, store.var("y"))
-    assert alpha_eq(store, t1, t2)
-
-
-def test_alpha_eq_free_vars_by_name(store):
-    g = store.const("G")
-    t1 = store.prod("x", g, store.var("z"))
-    t2 = store.prod("y", g, store.var("w"))
-    assert not alpha_eq(store, t1, t2)
-
-
-def test_alpha_eq_shadowing(store):
-    g = store.const("G")
-    inner1 = store.prod("x", g, store.var("x"))
-    t1 = store.prod("x", g, inner1)
-    inner2 = store.prod("z", g, store.var("z"))
-    t2 = store.prod("y", g, inner2)
-    assert alpha_eq(store, t1, t2)
-
-
-def test_alpha_eq_distinguishes_structure(store):
-    g = store.const("G")
-    t1 = store.prod("x", g, store.var("x"))
-    t2 = store.prod("x", g, store.const("e"))
-    assert not alpha_eq(store, t1, t2)
-
-
-@given(term_strategy())
-def test_alpha_eq_reflexive(spec):
+@settings(max_examples=300, deadline=None)
+@given(_STORE_OPS)
+def test_every_stored_node_stays_valid(ops):
+    # After each operation, successful or refused, every stored node passes
+    # validation against the current symbol table and interns to its own id.
     store = TermStore()
-    for sym, arity in (("G", 0), ("e", 0), ("m", 0), ("f", 2)):
-        store.declare(sym, arity)
-    t = build(store, spec)
-    assert alpha_eq(store, t, t)
-
-
-@given(term_strategy())
-def test_alpha_eq_implies_same_shape(spec):
-    store = TermStore()
-    for sym, arity in (("G", 0), ("e", 0), ("m", 0), ("f", 2)):
-        store.declare(sym, arity)
-    t = build(store, spec)
-    renamed = _rename(spec, {"x": "u", "y": "v", "z": "w"})
-    t2 = build(store, renamed)
-    # uniform renaming of binders AND free vars is alpha-equal only if no
-    # free vars; here we check the cheap invariants instead
-    if alpha_eq(store, t, t2):
-        assert store.leaf_count(t) == store.leaf_count(t2)
-        assert len(op_positions(store, t, "f")) == len(op_positions(store, t2, "f"))
-
-
-def _rename(spec, mapping):
-    if spec[0] == "var":
-        return ("var", mapping[spec[1]])
-    if spec[0] == "const":
-        return spec
-    if spec[0] == "app":
-        return ("app", _rename(spec[1], mapping), _rename(spec[2], mapping))
-    return ("prod", mapping[spec[1]], _rename(spec[2], mapping), _rename(spec[3], mapping))
+    for op in ops:
+        n = len(store)
+        try:
+            if op[0] == "declare":
+                store.declare(op[1], op[2])
+            elif op[0] == "var":
+                store.var(op[1])
+            elif op[0] == "const":
+                store.const(op[1])
+            elif op[0] == "app" and n:
+                head = store.const(op[1]) if isinstance(op[1], str) else op[1] % n
+                store.app(head, [a % n for a in op[2]])
+            elif op[0] == "prod" and n:
+                store.prod(op[1], op[2] % n, op[3] % n)
+        except TermError:
+            pass
+        for tid in range(len(store)):
+            node = store.term(tid)
+            store._validate(node)
+            assert store.intern(node) == tid
 
 
 def test_interning_thread_safety(store):

@@ -73,6 +73,15 @@ def test_record_lines_are_json(store):
 def test_read_rejects_garbage_manifest():
     with pytest.raises(DatasetError):
         read_dataset("#manifest not-json\n")
+    for manifest in ("[1, 2]", '"toy"', "3", "null"):
+        with pytest.raises(DatasetError, match="^line 1: manifest must be a JSON object"):
+            read_dataset(f"#manifest {manifest}\n")
+
+
+def test_read_rejects_an_impl_argument():
+    text = "#manifest {}\n#term 0 (c G)\n#term 1 (app f (impl (c e)) (c m))\n"
+    with pytest.raises(DatasetError, match=r"^line 3: unknown form 'impl' at line 1, column 9$"):
+        read_dataset(text)
 
 
 def test_read_rejects_non_dense_term_ids():
@@ -88,12 +97,15 @@ def test_read_rejects_dangling_term_ref(store):
     records, manifest = toy_records(store, 2, 1, 4, 1)
     text = write_dataset(records, store, manifest)
     lines = text.splitlines()
-    body_ix = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
-    rec = json.loads(lines[body_ix])
-    rec["goal"] = 10_000
-    lines[body_ix] = json.dumps(rec)
-    with pytest.raises(DatasetError):
-        read_dataset("\n".join(lines) + "\n")
+    # the first record with a context entry; bool is an int subclass, so
+    # true and false must not read as table entries 1 and 0
+    body_ix = next(i for i, ln in enumerate(lines) if not ln.startswith("#") and json.loads(ln)["ctx"])
+    for field, value in (("goal", 10_000), ("goal", True), ("ctx", [["h", False]])):
+        rec = json.loads(lines[body_ix])
+        rec[field] = value
+        bad = lines[:body_ix] + [json.dumps(rec)] + lines[body_ix + 1 :]
+        with pytest.raises(DatasetError, match=f"^line {body_ix + 1}: dangling term ref"):
+            read_dataset("\n".join(bad) + "\n")
 
 
 def test_read_rejects_duplicate_state(store):
