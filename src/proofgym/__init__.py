@@ -45,7 +45,6 @@ from .traces import (
     bin_depth,
     histograms,
     read_dataset,
-    split_by_lemma,
     write_dataset,
 )
 from .autodiff import Adam, CompGraph, Tensor, forward_backward, run_backward, run_forward
@@ -119,7 +118,6 @@ __all__ = [
     "run_forward",
     "save_checkpoint",
     "serve",
-    "split_by_lemma",
     "start_session",
     "statement_for",
     "steps_below",

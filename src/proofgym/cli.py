@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .embeddings import CELLS, EmbeddingError
 from .engine import BadTactic, EngineError, declare_domain, parse_tactic, start_session, tactic_text
@@ -26,7 +27,7 @@ from .models import (
     train_argument_model,
     train_classifier,
 )
-from .rewrite import TEST_PREFIX, DatasetSpec, GenerationError, OracleError, gen_dataset_records
+from .rewrite import DatasetSpec, GenerationError, OracleError, gen_dataset_records
 from .sexpr import ParseError, parse_sexpr, print_sexpr
 from .synthesis import (
     ModelPredictor,
@@ -41,7 +42,6 @@ from .traces import (
     format_table,
     histograms,
     read_dataset,
-    split_by_lemma,
     write_dataset,
 )
 
@@ -63,13 +63,6 @@ KNOWN_ERRORS = (
 def _read_dataset(path: str, store: TermStore | None = None):
     with open(path, encoding="utf-8") as fh:
         return read_dataset(fh.read(), store)
-
-
-def _parse_ratio(text: str) -> tuple[int, int, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"ratio must look like 8:1:1, got {text!r}")
-    return tuple(int(p) for p in parts)  # type: ignore[return-value]
 
 
 def _log(msg: str) -> None:
@@ -102,33 +95,17 @@ def cmd_stats(args) -> int:
 
 def cmd_split(args) -> int:
     records, _, _ = _read_dataset(args.infile)
-    split = split_by_lemma(records, ratio=_parse_ratio(args.ratio), seed=args.seed)
-    out = {
-        "train": list(split.train),
-        "valid": list(split.valid),
-        "test": list(split.test),
-        "records": {
-            "train": split.counts[0],
-            "valid": split.counts[1],
-            "test": split.counts[2],
-        },
-    }
+    sizes = Counter(rec.lemma for rec in records)
+    parts = dict(zip(("train", "valid", "test"), partition_lemmas(records, seed=args.seed)))
+    out = {name: sorted(lemmas) for name, lemmas in parts.items()}
+    out["records"] = {name: sum(sizes[lemma] for lemma in lemmas) for name, lemmas in parts.items()}
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 
 
-def _lemma_split(records, manifest, seed):
-    """(train, valid, test) lemma sets: the toy partition for generated
-    datasets, the record-balanced lemma split for any other."""
-    if manifest.get("kind") == "toy":
-        return partition_lemmas(records, seed=seed)
-    split = split_by_lemma(records, seed=seed)
-    return set(split.train), set(split.valid), set(split.test)
-
-
-def _partitioned_states(records, manifest, task, seed):
+def _partitioned_states(records, task, seed):
     states, space = states_for_task(records, task)
-    train_l, valid_l, test_l = _lemma_split(records, manifest, seed)
+    train_l, valid_l, test_l = partition_lemmas(records, seed=seed)
     return (
         filter_states(states, train_l),
         filter_states(states, valid_l),
@@ -138,7 +115,7 @@ def _partitioned_states(records, manifest, task, seed):
 
 
 def cmd_train(args) -> int:
-    records, store, manifest = _read_dataset(args.infile)
+    records, store, _ = _read_dataset(args.infile)
     cfg = TrainConfig(
         cell=args.cell,
         dim=args.dim,
@@ -148,7 +125,7 @@ def cmd_train(args) -> int:
         patience=args.patience,
         seed=args.seed,
     )
-    train_states, valid_states, test_states, space = _partitioned_states(records, manifest, args.task, args.seed)
+    train_states, valid_states, test_states, space = _partitioned_states(records, args.task, args.seed)
     _log(
         f"task {args.task}: {len(train_states)} train / {len(valid_states)} valid / "
         f"{len(test_states)} test states"
@@ -175,10 +152,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    records, store, manifest = _read_dataset(args.infile)
+    records, store, _ = _read_dataset(args.infile)
     model = Classifier.load(args.ckpt)
+    if args.pr_out and model.space.task != "arg":
+        raise ModelError(f"--pr-out needs an 'arg' checkpoint, got task {model.space.task!r}")
     states, _ = states_for_task(records, model.space.task)
-    states = _subset(records, states, manifest, args.subset, args.seed)
+    states = _subset(records, states, args.subset, args.seed)
     if model.space.task == "arg":
         curve = pr_curve_for(model, store, states)
         if args.pr_out:
@@ -195,10 +174,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _subset(records, states, manifest, subset: str, seed: int):
+def _subset(records, states, subset: str, seed: int):
     if subset == "all":
         return states
-    train_l, valid_l, test_l = _lemma_split(records, manifest, seed)
+    train_l, valid_l, test_l = partition_lemmas(records, seed=seed)
     chosen = {"train": train_l, "valid": valid_l, "test": test_l}[subset]
     return filter_states(states, chosen)
 
@@ -259,8 +238,9 @@ def cmd_bench(args) -> int:
     # those the file never mentions.
     store = TermStore()
     declare_domain(store)
-    records, _, manifest = _read_dataset(args.infile, store)
-    theorems = theorems_from_records(store, records, lemma_prefix=TEST_PREFIX)
+    records, _, _ = _read_dataset(args.infile, store)
+    _, _, test_l = partition_lemmas(records)
+    theorems = theorems_from_records(store, [rec for rec in records if rec.lemma in test_l])
     report = run_benchmark(store, theorems, ModelPredictor(clf))
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
@@ -300,9 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("split", help="lemma-level split as JSON")
+    p = sub.add_parser("split", help="the lemma split train, eval and bench use, as JSON")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--ratio", default="8:1:1")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_split)
 
@@ -324,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--subset", choices=("all", "train", "valid", "test"), default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pr-out", help="write the PR curve CSV here (argument task)")
+    p.add_argument("--pr-out", help="write the PR curve CSV here (arg checkpoints only)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("prove", help="synthesize a proof for one theorem")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import warnings
+import zlib
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -157,10 +158,19 @@ def states_for_task(records: list[TraceRecord], task: str) -> tuple[list[Labeled
 
 
 def partition_lemmas(records: list[TraceRecord], seed: int = 0) -> tuple[set[str], set[str], set[str]]:
-    """(train, valid, test) lemma names: the test prefix selects test, and
-    seed carves a tenth of the rest (at least one lemma) into valid."""
+    """(train, valid, test) lemma names: the one split that `split`, `train`,
+    `eval --subset` and `bench` share.
+
+    The test prefix selects test. A corpus of at least 3 lemmas without the
+    prefix holds out a tenth of them (at least one), those whose names hash
+    lowest, so its test set does not depend on seed either. seed carves a
+    tenth of the rest (at least one lemma) into valid.
+    """
     names = sorted({rec.lemma for rec in records})
     test = {n for n in names if n.startswith(TEST_PREFIX)}
+    if not test and len(names) >= 3:
+        n_test = max(1, round(0.1 * len(names)))
+        test = set(sorted(names, key=lambda n: zlib.crc32(n.encode("utf-8")))[:n_test])
     rest = [n for n in names if n not in test]
     rng = random.Random(seed)
     rng.shuffle(rest)

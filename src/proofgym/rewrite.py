@@ -32,7 +32,8 @@ from .engine import (
 )
 from .terms import App, Const, Prod, TermId, TermStore, Var
 
-# Lemma-name prefix of held-out theorems; the model split and `bench` select by it.
+# Lemma-name prefix of held-out theorems; the lemma split (models.partition_lemmas)
+# holds out exactly these when a corpus has any.
 TEST_PREFIX = "thm_test_"
 
 

@@ -197,17 +197,13 @@ def theorems_from_records(
     """Recover (name, statement) theorems from trace records via their roots.
 
     A lemma's root record is the one without a parent; its goal is the closed
-    statement. `lemma_prefix` filters by name; falls back to all lemmas when
-    nothing matches.
+    statement. `lemma_prefix` keeps only the lemmas named with it.
     """
     roots: dict[str, int] = {}
     for rec in records:
         if rec.parent_id is None and rec.lemma not in roots:
             roots[rec.lemma] = rec.goal
-    names = sorted(roots)
-    if lemma_prefix is not None:
-        chosen = [n for n in names if n.startswith(lemma_prefix)]
-        names = chosen or names
+    names = sorted(n for n in roots if lemma_prefix is None or n.startswith(lemma_prefix))
     out: list[TheoremSpec] = []
     for name in names:
         statement = body = roots[name]

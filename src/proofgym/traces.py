@@ -1,4 +1,4 @@
-"""Proof-trace records, the line-delimited dataset format, splits, and stats.
+"""Proof-trace records, the line-delimited dataset format, depth bins, and stats.
 
 A dataset file is UTF-8 text: one `#manifest <json>` line, then `#term <id>
 <sexpr>` lines (ids dense from 0, in first-use order), then one JSON object
@@ -10,7 +10,6 @@ trips preserve structure rather than raw id values.
 from __future__ import annotations
 
 import json
-import random
 from collections import Counter
 from dataclasses import dataclass
 
@@ -215,60 +214,6 @@ def record_steps_below(records: list[TraceRecord]) -> dict[int, int]:
                 stack.append((sid, True))
                 stack.extend((child, False) for child in rec.children)
     return {sid: depth[sid] for sid in by_state}
-
-
-# -- lemma-level splits --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Split:
-    train: tuple[str, ...]
-    valid: tuple[str, ...]
-    test: tuple[str, ...]
-    counts: tuple[int, int, int]  # record counts per split
-
-    def as_dict(self) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for part in ("train", "valid", "test"):
-            for lemma in getattr(self, part):
-                out[lemma] = part
-        return out
-
-
-def split_by_lemma(
-    records: list[TraceRecord], ratio: tuple[int, int, int] = (8, 1, 1), seed: int = 0
-) -> Split:
-    """Partition lemmas into train/valid/test, balancing proof-state counts.
-
-    Lemmas are shuffled by seed and greedily assigned to the split whose
-    fill (current records / target records) is lowest, ties going to the
-    earlier split. Deterministic for equal inputs.
-    """
-    if any(r <= 0 for r in ratio):
-        raise DatasetError(f"ratio parts must be positive, got {ratio}")
-    sizes: dict[str, int] = {}
-    for rec in records:
-        sizes[rec.lemma] = sizes.get(rec.lemma, 0) + 1
-    lemmas = sorted(sizes)
-    if len(lemmas) < 3:
-        raise DatasetError(f"need at least 3 lemmas to split, got {len(lemmas)}")
-    random.Random(seed).shuffle(lemmas)
-    total = sum(sizes.values())
-    denom = sum(ratio)
-    targets = [total * r / denom for r in ratio]
-    parts: list[list[str]] = [[], [], []]
-    filled = [0, 0, 0]
-    for lemma in lemmas:
-        fill = [filled[i] / targets[i] for i in range(3)]
-        pick = fill.index(min(fill))
-        parts[pick].append(lemma)
-        filled[pick] += sizes[lemma]
-    return Split(
-        train=tuple(sorted(parts[0])),
-        valid=tuple(sorted(parts[1])),
-        test=tuple(sorted(parts[2])),
-        counts=(filled[0], filled[1], filled[2]),
-    )
 
 
 # -- depth bins -----------------------------------------------------------------

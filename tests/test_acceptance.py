@@ -39,7 +39,7 @@ from proofgym.rewrite import (
 from proofgym.sexpr import print_sexpr
 from proofgym.synthesis import ModelPredictor, run_benchmark, theorems_from_records
 from proofgym.terms import App, Prod, TermStore
-from proofgym.traces import bin_depth, read_dataset, split_by_lemma, write_dataset
+from proofgym.traces import bin_depth, read_dataset, write_dataset
 
 
 def report(num: int, name: str, t0: float, checks: dict[str, bool]) -> None:
@@ -393,12 +393,12 @@ def test_criterion_7_data_plumbing():
         and manifest == read_manifest
     )
 
-    split = split_by_lemma(records, ratio=(8, 1, 1), seed=4)
-    again = split_by_lemma(records, ratio=(8, 1, 1), seed=4)
-    parts = [set(split.train), set(split.valid), set(split.test)]
+    split = partition_lemmas(records, seed=4)
+    again = partition_lemmas(records, seed=4)
+    parts = list(split)
     disjoint = sum(len(p) for p in parts) == len(parts[0] | parts[1] | parts[2])
     exhaustive = (parts[0] | parts[1] | parts[2]) == set(sizes)
-    shares = [count / len(records) for count in split.counts]
+    shares = [sum(sizes[lemma] for lemma in part) / len(records) for part in parts]
     within = all(abs(share - target) <= 0.02 for share, target in zip(shares, (0.8, 0.1, 0.1)))
 
     names = pos_eval_space().names

@@ -8,13 +8,16 @@ trained checkpoints here are deliberately tiny; quality is covered elsewhere.
 import io
 import json
 import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import make_generic_corpus
-from proofgym.cli import main
+from proofgym import cli
+from proofgym.cli import build_parser, main
 from proofgym.embeddings import load_checkpoint, save_checkpoint
 from proofgym.engine import declare_domain, start_session
 from proofgym.models import Classifier
@@ -180,10 +183,52 @@ def test_split_reports_disjoint_lemma_sets(toy_file):
     assert code == 0 and out2 == out
 
 
-def test_split_rejects_malformed_ratio(toy_file):
-    code, _, err = run(["split", "--in", toy_file, "--ratio", "8:1"])
-    assert code == 2
-    assert err.startswith("error:") and "8:1" in err
+@pytest.mark.parametrize("corpus", ["toy_file", "generic_file"])
+def test_split_prints_the_sets_train_and_eval_use(ws, request, monkeypatch, corpus):
+    path = request.getfixturevalue(corpus)
+    code, out, _ = run(["split", "--in", path, "--seed", "3"])
+    assert code == 0
+    printed = {part: set(lemmas) for part, lemmas in json.loads(out).items() if part != "records"}
+    assert printed["test"]  # the generic corpus has no thm_test_ lemma, yet holds some out
+
+    used = {"evaluated": []}
+    train_classifier, evaluate = cli.train_classifier, cli.evaluate
+
+    def train_spy(store, train_states, valid_states, *rest, **kwargs):
+        used["train"] = {s.lemma for s in train_states}
+        used["valid"] = {s.lemma for s in valid_states}
+        return train_classifier(store, train_states, valid_states, *rest, **kwargs)
+
+    def evaluate_spy(model, store, states):
+        used["evaluated"].append({s.lemma for s in states})
+        return evaluate(model, store, states)
+
+    monkeypatch.setattr(cli, "train_classifier", train_spy)
+    monkeypatch.setattr(cli, "evaluate", evaluate_spy)
+    ckpt = str(ws / f"split-{corpus}.npz")
+    code, _, _ = run(["train", "--task", "pos", *TINY[:-1], "3", "--in", path, "--out", ckpt])
+    assert code == 0
+    for subset in ("valid", "test"):
+        code, _, _ = run(["eval", "--ckpt", ckpt, "--in", path, "--subset", subset, "--seed", "3"])
+        assert code == 0
+    assert (used["train"], used["valid"]) == (printed["train"], printed["valid"])
+    assert used["evaluated"] == [printed["test"], printed["valid"], printed["test"]]
+
+
+def test_readme_commands_parse():
+    # every `proofgym ...` line of the README's shell blocks names real flags
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    commands = [words for words in commands if words[:1] == ["proofgym"]]
+    assert {words[1] for words in commands} >= {"gen", "stats", "split", "train", "eval", "bench", "prove"}
+    parser = build_parser()
+    for words in commands:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(words)}")
 
 
 # -- train / eval ----------------------------------------------------------------
@@ -239,6 +284,16 @@ def test_eval_subsets(pos_ckpt, toy_file):
     assert full["task"] == test_only["task"] == "pos"
     assert full["n"] == 8 * 5
     assert test_only["n"] == 2 * 5  # the thm_test_ lemmas
+
+
+@pytest.mark.parametrize("ckpt", ["tac_ckpt", "pos_ckpt"])
+def test_eval_pr_out_rejects_a_classifier_checkpoint(ws, request, toy_file, ckpt):
+    path, _ = request.getfixturevalue(ckpt)
+    csv_path = ws / f"curve-{ckpt}.csv"
+    code, out, err = run(["eval", "--ckpt", path, "--in", toy_file, "--pr-out", str(csv_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --pr-out needs an 'arg' checkpoint")
+    assert not csv_path.exists()
 
 
 def test_eval_rejects_a_checkpoint_with_other_depth_bins(ws, pos_ckpt, toy_file):
@@ -508,6 +563,23 @@ def test_bench_report(ws, tac_ckpt, toy_file):
     assert report["completed_fallback"] == 2
     assert len(report["per_theorem"]) == 2
     assert {t["lemma"] for t in report["per_theorem"]} == {"thm_test_0000", "thm_test_0001"}
+
+
+def test_bench_proves_the_split_test_set_of_a_corpus_without_test_lemmas(ws, tac_ckpt):
+    path, _ = tac_ckpt
+    corpus = ws / "no-test-lemmas.ds"
+    code, _, _ = run(["gen", "--train", "30", "--test", "0", "--length", "4", "--seed", "0", "--out", str(corpus)])
+    assert code == 0
+    code, out, _ = run(["split", "--in", str(corpus)])
+    assert code == 0
+    test = json.loads(out)["test"]
+    assert len(test) == 3 and all(name.startswith("thm_train_") for name in test)
+    report_path = ws / "no-test-lemmas-report.json"
+    code, out, err = run(["bench", "--ckpt", path, "--in", str(corpus), "--report", str(report_path)])
+    assert code == 0, err
+    assert out.startswith("strict ") and " fallback 3/3 " in out
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert [t["lemma"] for t in report["per_theorem"]] == test
 
 
 def test_bench_proves_a_lemma_with_several_binders(ws, tac_ckpt):

@@ -204,17 +204,43 @@ def test_states_for_task_dispatch(store, toy_records):
 # -- lemma partitioning -----------------------------------------------------------
 
 
+def _split_corpora(store, toy_records):
+    """The toy fixture and two corpora without `thm_test_` lemmas."""
+    no_test, _ = gen_dataset_records(store, DatasetSpec(n_train=30, n_test=0, length=4, seed=0))
+    return {"toy": toy_records, "toy without test lemmas": no_test, "generic": make_generic_corpus(store)}
+
+
 def test_partition_lemmas_prefix_and_disjoint(store, toy_records):
     train, valid, test = partition_lemmas(toy_records)
     names = {r.lemma for r in toy_records}
-    assert train | valid | test == names
-    assert not (train & valid or train & test or valid & test)
     assert test == {n for n in names if n.startswith("thm_test_")}
     assert len(valid) == 1  # 6 train lemmas, 10% rounds to 1
+    for corpus, records in _split_corpora(store, toy_records).items():
+        train, valid, test = partition_lemmas(records)
+        names = {r.lemma for r in records}
+        assert train | valid | test == names, corpus
+        assert not (train & valid or train & test or valid & test), corpus
+        if corpus != "toy":  # a tenth of the lemmas, since none is a test lemma
+            assert len(test) == round(0.1 * len(names)), corpus
 
 
 def test_partition_lemmas_deterministic(store, toy_records):
-    assert partition_lemmas(toy_records, seed=7) == partition_lemmas(toy_records, seed=7)
+    for corpus, records in _split_corpora(store, toy_records).items():
+        assert partition_lemmas(records, seed=7) == partition_lemmas(records, seed=7), corpus
+
+
+def test_partition_lemmas_seed_picks_only_the_valid_slice(store, toy_records):
+    for corpus, records in _split_corpora(store, toy_records).items():
+        splits = [partition_lemmas(records, seed=seed) for seed in range(4)]
+        assert len({frozenset(test) for _, _, test in splits}) == 1, corpus
+        assert len({frozenset(valid) for _, valid, _ in splits}) > 1, corpus
+
+
+@pytest.mark.parametrize("n_lemmas,sizes", [(2, (1, 1, 0)), (3, (1, 1, 1))])  # 1 lemma: the next test
+def test_partition_lemmas_small_corpora(store, n_lemmas, sizes):
+    parts = partition_lemmas(make_generic_corpus(store, n_lemmas=n_lemmas))
+    assert tuple(len(p) for p in parts) == sizes
+    assert set().union(*parts) == {f"gen_{i:03d}" for i in range(n_lemmas)}
 
 
 def test_partition_single_lemma_keeps_it_trainable(store):

@@ -226,9 +226,8 @@ def test_theorems_from_records_prefix_filter(store):
     records, _ = gen_dataset_records(store, DatasetSpec(n_train=3, n_test=2, length=4, seed=0))
     test_only = theorems_from_records(store, records, lemma_prefix="thm_test_")
     assert [t.name for t in test_only] == ["thm_test_0000", "thm_test_0001"]
-    # an unmatched prefix falls back to every lemma
-    everything = theorems_from_records(store, records, lemma_prefix="nope_")
-    assert len(everything) == 5
+    # an unmatched prefix selects nothing
+    assert theorems_from_records(store, records, lemma_prefix="nope_") == []
 
 
 def test_theorems_from_records_rejects_non_equality(store):

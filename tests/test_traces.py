@@ -18,7 +18,6 @@ from proofgym.traces import (
     format_table,
     histograms,
     read_dataset,
-    split_by_lemma,
     write_dataset,
 )
 
@@ -158,83 +157,6 @@ def test_generic_corpus_round_trip(store):
     records2, store2, manifest2 = read_dataset(text)
     assert manifest2["kind"] == "ingested"
     assert write_dataset(records2, store2, manifest2) == text
-
-
-# -- splits ---------------------------------------------------------------------
-
-
-def _uniform_records(store, n_lem, per_lemma=5):
-    holds = store.declare("holds") or store.const("G")
-    out = []
-    for i in range(n_lem):
-        lemma = f"lem_{i:03d}"
-        for sid in range(per_lemma):
-            out.append(
-                TraceRecord(
-                    lemma, sid, None if sid == 0 else sid - 1, (), holds,
-                    TacticCall("intro", "intro"), (sid + 1,),
-                )
-            )
-    return out
-
-
-def test_split_three_lemmas_one_each(store):
-    records = _uniform_records(store, 3)
-    split = split_by_lemma(records, seed=0)
-    assert len(split.train) == len(split.valid) == len(split.test) == 1
-
-
-def test_split_disjoint_exhaustive_deterministic(store):
-    records = _uniform_records(store, 37)
-    s1 = split_by_lemma(records, seed=5)
-    s2 = split_by_lemma(records, seed=5)
-    assert (s1.train, s1.valid, s1.test) == (s2.train, s2.valid, s2.test)
-    all_lemmas = set(s1.train) | set(s1.valid) | set(s1.test)
-    assert len(all_lemmas) == 37
-    assert not (set(s1.train) & set(s1.valid))
-    assert not (set(s1.train) & set(s1.test))
-    assert not (set(s1.valid) & set(s1.test))
-
-
-def test_split_seed_changes_assignment(store):
-    records = _uniform_records(store, 40)
-    s1 = split_by_lemma(records, seed=0)
-    s2 = split_by_lemma(records, seed=1)
-    assert s1.train != s2.train
-
-
-def test_split_100_uniform_hits_80_10_10(store):
-    records = _uniform_records(store, 100)
-    split = split_by_lemma(records, seed=0)
-    total = sum(split.counts)
-    shares = [c / total for c in split.counts]
-    assert abs(shares[0] - 0.80) <= 0.02
-    assert abs(shares[1] - 0.10) <= 0.02
-    assert abs(shares[2] - 0.10) <= 0.02
-
-
-def test_split_unbalanced_lemma_sizes_tracks_records(store):
-    holds = store.const("G")
-    out = []
-    for i, size in enumerate([50, 30, 10, 5, 3, 2]):
-        for sid in range(size):
-            out.append(
-                TraceRecord(f"big_{i}", sid, None, (), holds, TacticCall("x", "x"), ())
-            )
-    split = split_by_lemma(out, seed=2)
-    assert sum(split.counts) == 100
-
-
-def test_split_requires_three_lemmas(store):
-    records = _uniform_records(store, 2)
-    with pytest.raises(DatasetError):
-        split_by_lemma(records)
-
-
-def test_split_custom_ratio(store):
-    records = _uniform_records(store, 10)
-    split = split_by_lemma(records, ratio=(1, 1, 1), seed=0)
-    assert sorted(len(p) for p in (split.train, split.valid, split.test)) == [3, 3, 4]
 
 
 # -- depth bins ------------------------------------------------------------------
